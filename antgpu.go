@@ -267,7 +267,10 @@ type SolveOptions struct {
 	// Pher selects the pheromone kernel (default atomic + shared memory,
 	// the paper's winner). GPU backend only.
 	Pher PherVersion
-	// Variant selects the CPU construction strategy (default NN-list).
+	// Variant selects the construction rule of the CPU colony and the
+	// tensor engine. The zero value is aco.FullProbabilistic (the rule
+	// over all unvisited cities); aco.NNListConstruction restricts it to
+	// the NN lists.
 	Variant aco.Variant
 	// LocalSearch applies 2-opt local search (nearest-neighbour candidate
 	// lists, don't-look bits) to every ant's tour after construction — the

@@ -82,7 +82,7 @@ func ExampleSolveBatch() {
 }
 
 // A Pool keeps its derived-data cache across batches, so a service solving
-// request streams pays each instance's Θ(n² log n) setup once.
+// request streams pays each instance's Θ(n²) setup once.
 func ExampleNewPool() {
 	in, _ := antgpu.LoadBenchmark("att48")
 	pool := antgpu.NewPool(antgpu.PoolOptions{Workers: 2})

@@ -173,19 +173,22 @@ func NewWithOptions(in *tsp.Instance, p aco.Params, d *tsp.Derived, o Options) (
 	e.cnn = cnn
 	e.tau0 = float64(e.m) / float64(cnn)
 
-	// η^β once, in float64, rounded to float32 at the end. The diagonal
-	// stays zero so a city can never be its own roulette winner — the
-	// colony zeroes the same cells in its choice matrix.
-	for i := 0; i < n; i++ {
-		row := e.etaBeta[i*n : (i+1)*n]
-		drow := e.dist[i*n : (i+1)*n]
-		for j := range row {
-			if i == j {
-				continue
+	// η^β once, in float64, rounded to float32 at the end, row-sharded
+	// over the pool (every cell is independent). The diagonal stays zero
+	// so a city can never be its own roulette winner — the colony zeroes
+	// the same cells in its choice matrix.
+	e.forSpan(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row := e.etaBeta[i*n : (i+1)*n]
+			drow := e.dist[i*n : (i+1)*n]
+			for j := range row {
+				if i == j {
+					continue
+				}
+				row[j] = float32(powF64(1.0/(float64(drow[j])+0.1), p.Beta))
 			}
-			row[j] = float32(powF64(1.0/(float64(drow[j])+0.1), p.Beta))
 		}
-	}
+	})
 	e.resetTau(float32(powF64(e.tau0, p.Alpha)), float32(e.tau0))
 	return e, nil
 }

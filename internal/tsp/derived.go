@@ -24,7 +24,7 @@ var ErrF32Precision = errors.New("distance exceeds exact float32 range (2^24)")
 // before its first iteration: the distance matrix converted to the float32
 // the device kernels consume, the nearest-neighbour lists, and the greedy
 // nearest-neighbour tour length C^nn that sets the initial pheromone level.
-// Computing it is the Θ(n² log n) fixed cost of starting a solve; a batch
+// Computing it is the Θ(n²) fixed cost of starting a solve; a batch
 // of solves over the same instance shares one Derived (see internal/sched).
 //
 // A Derived is immutable after ComputeDerived returns and safe to share
@@ -78,12 +78,12 @@ func (in *Instance) CheckDistF32() error {
 // losing precision; ComputeDerived detects them during conversion and
 // returns an error wrapping ErrF32Precision instead of silently collapsing
 // edges (such instances remain solvable by the float64 CPU colony, which
-// does not consume Derived.DistF32).
+// does not consume Derived.DistF32). The conversion runs first, so a
+// refused instance costs one pass over the matrix and no NN lists.
 func (in *Instance) ComputeDerived(nn int) (*Derived, error) {
 	n := in.n
 	nn = in.EffectiveNN(nn)
 	d := &Derived{N: n, NN: nn}
-	d.List = in.NNList(nn)
 	d.DistF32 = make([]float32, n*n)
 	for i, v := range in.matrix {
 		if v > MaxExactDistF32 {
@@ -92,6 +92,7 @@ func (in *Instance) ComputeDerived(nn int) (*Derived, error) {
 		}
 		d.DistF32[i] = float32(v)
 	}
+	d.List = in.NNList(nn)
 	d.CNN = in.TourLength(in.NearestNeighbourTour(0))
 	return d, nil
 }

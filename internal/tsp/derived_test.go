@@ -44,8 +44,14 @@ func TestComputeDerivedDetectsF32Overflow(t *testing.T) {
 	if !errors.Is(err, ErrF32Precision) {
 		t.Fatalf("error %v does not wrap ErrF32Precision", err)
 	}
-	if err := in.CheckDistF32(); !errors.Is(err, ErrF32Precision) {
-		t.Fatalf("CheckDistF32 = %v, want ErrF32Precision", err)
+	// The refusal names the first offending edge in row-major order, and
+	// CheckDistF32 reports the same edge in the same words.
+	const wantMsg = `tsp: instance "straddle": d(0,2) = 16777217: distance exceeds exact float32 range (2^24)`
+	if err.Error() != wantMsg {
+		t.Fatalf("ComputeDerived error = %q, want %q", err, wantMsg)
+	}
+	if err := in.CheckDistF32(); !errors.Is(err, ErrF32Precision) || err.Error() != wantMsg {
+		t.Fatalf("CheckDistF32 = %v, want %q wrapping ErrF32Precision", err, wantMsg)
 	}
 
 	// Distances up to and including 2^24 are exact and must keep working.
