@@ -256,7 +256,8 @@ type SolveOptions struct {
 	Params Params
 	// Iterations is the number of AS iterations (default 20).
 	Iterations int
-	// Backend selects CPU (default) or simulated GPU.
+	// Backend selects the CPU colony (default), the simulated GPU or the
+	// tensor engine. Validate lists the algorithms each one runs.
 	Backend Backend
 	// Device is the simulated GPU (default Tesla M2050). GPU backend only.
 	Device *Device
@@ -275,7 +276,7 @@ type SolveOptions struct {
 	// LocalSearch applies 2-opt local search (nearest-neighbour candidate
 	// lists, don't-look bits) to every ant's tour after construction — the
 	// AS + local-search configuration of ACOTSP. Supported for
-	// AlgorithmAS on both backends.
+	// AlgorithmAS on every backend; any other algorithm fails Validate.
 	LocalSearch bool
 	// Profile records every kernel launch and algorithm phase on a
 	// simulated timeline; the collector is returned in Result.Trace. The
@@ -286,21 +287,22 @@ type SolveOptions struct {
 	// (the plan is cloned, so the same options value always reproduces the
 	// same faults). For AlgorithmAS this also engages the fault-tolerant
 	// runtime; other algorithms surface the typed fault errors raw. GPU
-	// backend only — the CPU backend ignores it.
+	// backend only — the CPU and tensor backends ignore it.
 	Faults *FaultPlan
 	// Recovery tunes the fault-tolerant runtime (checkpoint every
 	// iteration, bounded retry with backoff, device reset-and-replay,
 	// graceful CPU degradation). Setting it — or Faults — routes the solve
 	// through that runtime; it is supported for AlgorithmAS on the GPU
-	// backend without LocalSearch.
+	// backend without LocalSearch, and fails Validate anywhere else.
 	Recovery *RecoveryOptions
 	// Metrics, when non-nil, collects telemetry from the solve into the
 	// registry: solve outcome counters on every path, per-kernel hardware
-	// counters from the simulated device (GPU backend), and — for
-	// AlgorithmAS — per-iteration convergence gauges (best/mean tour
-	// length, pheromone entropy, λ-branching). Nil (the default) disables
-	// collection at zero cost. The registry only observes; solves stay
-	// deterministic and byte-identical with metrics on or off.
+	// counters from the simulated device (GPU backend), and — on the cells
+	// that deliver OnIteration events — per-iteration convergence gauges
+	// (best/mean tour length, pheromone entropy, λ-branching). Nil (the
+	// default) disables collection at zero cost. The registry only
+	// observes; solves stay deterministic and byte-identical with metrics
+	// on or off.
 	Metrics *Metrics
 	// Optimum is the known optimal tour length of the instance, when the
 	// caller has one. It feeds the antgpu_optimum_gap_ratio gauge and the
@@ -320,10 +322,11 @@ type SolveOptions struct {
 	// ACO iteration — iteration best/mean tour length, best-so-far, gap to
 	// Optimum, pheromone entropy and λ-branching — called synchronously
 	// from the solve goroutine in iteration order. It works with or
-	// without Metrics and is produced by the AlgorithmAS paths on both
-	// backends (including the fault-tolerant runtime); other algorithms
-	// complete without events. This is the feed the antgpud service
-	// streams to clients over SSE.
+	// without Metrics. The cells that deliver events are AlgorithmAS on
+	// every backend, with or without LocalSearch (on the GPU also through
+	// the fault-tolerant runtime), and AlgorithmACS and AlgorithmMMAS on
+	// the tensor backend; every other cell completes without events. This
+	// is the feed the antgpud service streams to clients over SSE.
 	OnIteration func(IterationEvent)
 
 	// cache, when non-nil, is the batch pool's shared derived-data cache
@@ -337,14 +340,53 @@ type SolveOptions struct {
 type Result struct {
 	BestTour []int32
 	BestLen  int64
-	// SimulatedSeconds is the accumulated simulated GPU time (GPU backend)
-	// or the modelled CPU time (CPU backend) of all iterations.
+	// SimulatedSeconds is the time of all iterations, excluding the
+	// engine's construction: the accumulated simulated GPU time (GPU
+	// backend), the modelled CPU time (CPU backend) or — the tensor engine
+	// running natively — the host wall-clock seconds (tensor backend).
 	SimulatedSeconds float64
 	// Trace holds the profiling timeline when SolveOptions.Profile is set.
 	Trace *Trace
 	// Recovery reports the fault-tolerant runtime's activity when the solve
 	// ran through it (SolveOptions.Faults or SolveOptions.Recovery set).
 	Recovery *RecoveryReport
+}
+
+// Validate reports whether SolveContext implements the cell the options
+// select, and refuses the settings that cell cannot honour instead of
+// letting the solve run without them. It is the facade's one support
+// matrix:
+//
+//   - BackendCPU and BackendGPU run every Algorithm; BackendTensor runs
+//     AlgorithmAS, AlgorithmACS and AlgorithmMMAS.
+//   - LocalSearch is supported for AlgorithmAS only.
+//   - Recovery is supported for AlgorithmAS on BackendGPU without
+//     LocalSearch.
+//
+// Validate checks the shape of the request only; out-of-range parameters
+// fail later, from the engines, with ErrInvalidParams.
+func (o SolveOptions) Validate() error {
+	switch o.Backend {
+	case BackendCPU, BackendGPU, BackendTensor:
+	default:
+		return fmt.Errorf("antgpu: unknown backend %d", int(o.Backend))
+	}
+	switch o.Algorithm {
+	case AlgorithmAS, AlgorithmACS, AlgorithmMMAS:
+	case AlgorithmEAS, AlgorithmRank:
+		if o.Backend == BackendTensor {
+			return fmt.Errorf("antgpu: backend tensor supports algorithms as, acs and mmas only, not %v", o.Algorithm)
+		}
+	default:
+		return fmt.Errorf("antgpu: unknown algorithm %d", int(o.Algorithm))
+	}
+	if o.LocalSearch && o.Algorithm != AlgorithmAS {
+		return fmt.Errorf("antgpu: local search is supported for algorithm as only, not %v", o.Algorithm)
+	}
+	if o.Recovery != nil && (o.Backend != BackendGPU || o.Algorithm != AlgorithmAS || o.LocalSearch) {
+		return fmt.Errorf("antgpu: the fault-tolerant runtime supports algorithm as on backend gpu without local search (the tensor backend checkpoints through tensor.Engine.Checkpoint/Restore instead)")
+	}
+	return nil
 }
 
 // NewTrace returns an empty profiling collector for callers that drive an
@@ -430,6 +472,67 @@ func derivedData(opts SolveOptions, in *Instance, nn int) (*tsp.Derived, error) 
 	return opts.cache.Derived(in, nn)
 }
 
+// hostDerived is derivedData for the host engines, the CPU colony and the
+// tensor engine. Both score tours in exact int64 and never read the
+// float32 distance matrix, so an instance beyond the exact-float32 range
+// (tsp.ErrF32Precision) stays solvable — just without the shared cache.
+func hostDerived(opts SolveOptions, in *Instance, nn int) (*tsp.Derived, error) {
+	d, err := derivedData(opts, in, nn)
+	if errors.Is(err, tsp.ErrF32Precision) {
+		return nil, nil
+	}
+	return d, err
+}
+
+// iterate calls step once per iteration, checking ctx before each — the
+// run loop of the CPU and tensor cells.
+func iterate(ctx context.Context, iters int, step func()) error {
+	for i := 0; i < iters; i++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		step()
+	}
+	return nil
+}
+
+// gpuEngine is what the GPU builder needs of an engine. Every GPU engine
+// embeds core.Engine (SetTracer, Free); ACS, MMAS, EAS and Rank already
+// run a whole solve through RunContext, and gpuAS adapts the AS engine.
+type gpuEngine interface {
+	SetTracer(*trace.Collector)
+	RunContext(ctx context.Context, iters int) ([]int32, int64, float64, error)
+	Free()
+}
+
+// gpuAS is the AS engine as a gpuEngine: it fixes the kernel versions and,
+// with local search, runs the 2-opt iteration instead of the plain one.
+type gpuAS struct {
+	*core.Engine
+	tv TourVersion
+	pv PherVersion
+	ls bool
+}
+
+func (a gpuAS) RunContext(ctx context.Context, iters int) ([]int32, int64, float64, error) {
+	if !a.ls {
+		return a.Engine.RunContext(ctx, a.tv, a.pv, iters)
+	}
+	secs := 0.0
+	for i := 0; i < iters; i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, 0, 0, err
+		}
+		res, err := a.IterateWithLocalSearch(a.tv, a.pv)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		secs += res.Construct.Seconds() + res.Update.Seconds()
+	}
+	tour, l := a.Best()
+	return tour, l, secs, nil
+}
+
 // SolveContext is Solve with cancellation: the context is checked between
 // iterations and its error returned promptly. No panic escapes — internal
 // failures come back as errors.
@@ -444,6 +547,9 @@ func SolveContext(ctx context.Context, in *Instance, opts SolveOptions) (res *Re
 			res, err = nil, fmt.Errorf("antgpu: internal error: %v", r)
 		}
 	}()
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	if in == nil {
 		return nil, fmt.Errorf("antgpu: nil instance")
 	}
@@ -455,13 +561,11 @@ func SolveContext(ctx context.Context, in *Instance, opts SolveOptions) (res *Re
 	}
 	// Default only unset (zero-valued) fields: a Params{Seed: 42} keeps its
 	// seed, a deliberate Alpha/Beta/Ants survives. Out-of-range values are
-	// rejected by the engines with ErrInvalidParams.
+	// rejected by the engines with ErrInvalidParams. ACS and MMAS default
+	// the same way; their unset seed falls back to Params.Seed.
 	opts.Params = opts.Params.WithDefaults()
-	if opts.Recovery != nil {
-		if opts.Algorithm != AlgorithmAS || opts.Backend != BackendGPU || opts.LocalSearch {
-			return nil, fmt.Errorf("antgpu: the fault-tolerant runtime supports AlgorithmAS on the GPU backend without local search (the tensor backend checkpoints through tensor.Engine.Checkpoint/Restore instead)")
-		}
-	}
+	opts.ACS = opts.ACS.WithDefaults(opts.Params.Seed)
+	opts.MMAS = opts.MMAS.WithDefaults(opts.Params.Seed)
 	if opts.Logger.Enabled(slog.LevelDebug) {
 		opts.Logger.Debug(ctx, obslog.EvSolveStart,
 			slog.String("backend", opts.Backend.String()),
@@ -477,66 +581,97 @@ func SolveContext(ctx context.Context, in *Instance, opts SolveOptions) (res *Re
 			}
 		}()
 	}
-	switch opts.Algorithm {
-	case AlgorithmACS:
-		return solveACS(ctx, in, opts)
-	case AlgorithmMMAS:
-		return solveMMAS(ctx, in, opts)
-	case AlgorithmEAS, AlgorithmRank:
-		return solveVariant(ctx, in, opts)
-	}
+	tr := newTracer(ctx, opts)
 	switch opts.Backend {
 	case BackendCPU:
-		d, err := derivedData(opts, in, opts.Params.NN)
-		if errors.Is(err, tsp.ErrF32Precision) {
-			// The float64 colony does not consume the float32 distance
-			// matrix, so instances beyond the exact-float32 range stay
-			// solvable on the CPU backend — just without the shared cache.
-			d = nil
-		} else if err != nil {
-			return nil, err
-		}
-		c, err := aco.NewWithDerived(in, opts.Params, d)
+		return solveCPU(ctx, in, opts, tr)
+	case BackendGPU:
+		return solveGPU(ctx, in, opts, tr)
+	}
+	return solveTensor(ctx, in, opts, tr)
+}
+
+// solveCPU is the CPU backend's builder: the algorithm picks the colony
+// constructor and its iteration, and every cell shares the rest — the
+// colony carries the tracer and the convergence recorder, its meters are
+// reset after construction, and the result reports the modelled CPU
+// seconds of the iterations alone.
+func solveCPU(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.Collector) (*Result, error) {
+	var (
+		c    *aco.Colony
+		step func()
+	)
+	v := opts.Variant
+	switch opts.Algorithm {
+	case AlgorithmAS:
+		d, err := hostDerived(opts, in, opts.Params.NN)
 		if err != nil {
 			return nil, err
 		}
-		tr := newTracer(ctx, opts)
-		c.Tracer = tr
-		c.Conv = solveConv(opts, in)
-		c.ResetMeters()
-		var tour []int32
-		var l int64
-		if opts.LocalSearch {
-			for i := 0; i < opts.Iterations; i++ {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				c.ConstructTours(opts.Variant)
-				c.LocalSearchTours(c.Ants())
-				c.UpdatePheromone()
-			}
-			tour, l = c.BestTour, c.BestLen
-		} else {
-			if tour, l, err = c.RunContext(ctx, opts.Variant, opts.Iterations); err != nil {
-				return nil, err
-			}
+		if c, err = aco.NewWithDerived(in, opts.Params, d); err != nil {
+			return nil, err
 		}
-		cpu := aco.DefaultCPU()
-		total := c.ConstructMeter
-		total.Add(&c.PheromoneMeter)
-		total.Add(&c.ChoiceMeter)
-		return &Result{BestTour: tour, BestLen: l, SimulatedSeconds: cpu.Seconds(&total), Trace: tr}, nil
-	case BackendGPU:
-		dev := gpuDevice(ctx, opts)
-		tv := opts.Tour
+		step = func() { c.Iterate(v) }
+		if opts.LocalSearch {
+			step = func() { c.IterateWithLocalSearch(v) }
+		}
+	case AlgorithmACS:
+		a, err := aco.NewACSColony(in, opts.ACS)
+		if err != nil {
+			return nil, err
+		}
+		c, step = a.Colony, a.Iterate
+	case AlgorithmMMAS:
+		m, err := aco.NewMMASColony(in, opts.MMAS)
+		if err != nil {
+			return nil, err
+		}
+		c, step = m.Colony, func() { m.Iterate(v) }
+	case AlgorithmEAS:
+		e, err := aco.NewEASColony(in, opts.Params, 0)
+		if err != nil {
+			return nil, err
+		}
+		c, step = e.Colony, func() { e.Iterate(v) }
+	case AlgorithmRank:
+		r, err := aco.NewRankColony(in, opts.Params, 0)
+		if err != nil {
+			return nil, err
+		}
+		c, step = r.Colony, func() { r.Iterate(v) }
+	}
+	c.Tracer, c.Conv = tr, solveConv(opts, in)
+	c.ResetMeters()
+	if err := iterate(ctx, opts.Iterations, step); err != nil {
+		return nil, err
+	}
+	total := c.ConstructMeter
+	total.Add(&c.PheromoneMeter)
+	total.Add(&c.ChoiceMeter)
+	return &Result{BestTour: c.BestTour, BestLen: c.BestLen,
+		SimulatedSeconds: aco.DefaultCPU().Seconds(&total), Trace: tr}, nil
+}
+
+// solveGPU is the simulated-GPU backend's builder. Every cell runs on a
+// private device (gpuDevice) and frees its engine when done. AS fills in
+// the paper's default kernels and, when Faults or Recovery is set without
+// LocalSearch, runs through the fault-tolerant runtime, which owns its
+// engines; MMAS, EAS and Rank honour an explicit Tour.
+func solveGPU(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.Collector) (*Result, error) {
+	dev := gpuDevice(ctx, opts)
+	var (
+		g   gpuEngine
+		err error
+	)
+	switch opts.Algorithm {
+	case AlgorithmAS:
+		tv, pv := opts.Tour, opts.Pher
 		if tv == 0 {
-			if in.N() <= 500 {
-				tv = TourDataParallelTexture
-			} else {
+			tv = TourDataParallelTexture
+			if in.N() > 500 {
 				tv = TourNNSharedTexture
 			}
 		}
-		pv := opts.Pher
 		if pv == 0 {
 			pv = PherAtomicShared
 		}
@@ -545,7 +680,6 @@ func SolveContext(ctx context.Context, in *Instance, opts SolveOptions) (res *Re
 			if opts.Recovery != nil {
 				ro = *opts.Recovery
 			}
-			tr := newTracer(ctx, opts)
 			tour, l, secs, rep, err := core.RunRecovered(ctx, dev, in, opts.Params,
 				tv, pv, opts.Iterations, ro, tr, solveConv(opts, in), opts.Logger)
 			if err != nil {
@@ -557,288 +691,89 @@ func SolveContext(ctx context.Context, in *Instance, opts SolveOptions) (res *Re
 		if err != nil {
 			return nil, err
 		}
-		e, err := core.NewEngineWithOptions(dev, in, opts.Params,
-			core.EngineOptions{Derived: d})
+		e, err := core.NewEngineWithOptions(dev, in, opts.Params, core.EngineOptions{Derived: d})
 		if err != nil {
 			return nil, err
-		}
-		defer e.Free()
-		tr := newTracer(ctx, opts)
-		if tr != nil {
-			e.SetTracer(tr)
 		}
 		e.SetMetrics(solveConv(opts, in))
-		var tour []int32
-		var l int64
-		var secs float64
-		if opts.LocalSearch {
-			for i := 0; i < opts.Iterations; i++ {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				res, err := e.IterateWithLocalSearch(tv, pv)
-				if err != nil {
-					return nil, err
-				}
-				secs += res.Construct.Seconds() + res.Update.Seconds()
-			}
-			tour, l = e.Best()
-		} else {
-			tour, l, secs, err = e.RunContext(ctx, tv, pv, opts.Iterations)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return &Result{BestTour: tour, BestLen: l, SimulatedSeconds: secs, Trace: tr}, nil
-	case BackendTensor:
-		d, err := derivedData(opts, in, opts.Params.NN)
-		if errors.Is(err, tsp.ErrF32Precision) {
-			// Like the CPU colony, the tensor engine scores tours in exact
-			// int64 and never reads the float32 distance matrix, so it stays
-			// usable beyond the exact-float32 range — without the cache.
-			d = nil
-		} else if err != nil {
-			return nil, err
-		}
-		e, err := tensor.NewWithDerived(in, opts.Params, d)
-		if err != nil {
-			return nil, err
-		}
-		defer e.Close()
-		tr := newTracer(ctx, opts)
-		e.Tracer = tr
-		e.Conv = solveConv(opts, in)
-		start := time.Now()
-		var tour []int32
-		var l int64
-		if opts.LocalSearch {
-			for i := 0; i < opts.Iterations; i++ {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				e.IterateWithLocalSearch(opts.Variant)
-			}
-			tour, l = e.BestTour, e.BestLen
-		} else {
-			if tour, l, err = e.RunContext(ctx, opts.Variant, opts.Iterations); err != nil {
-				return nil, err
-			}
-		}
-		// The tensor engine runs natively on the host, so the duration is
-		// real wall-clock time, not a modelled estimate.
-		return &Result{BestTour: tour, BestLen: l, SimulatedSeconds: time.Since(start).Seconds(), Trace: tr}, nil
-	default:
-		return nil, fmt.Errorf("antgpu: unknown backend %d", opts.Backend)
+		g = gpuAS{Engine: e, tv: tv, pv: pv, ls: opts.LocalSearch}
+	case AlgorithmACS:
+		g, err = core.NewACSEngine(dev, in, opts.ACS)
+	case AlgorithmMMAS:
+		g, err = core.NewMMASEngine(dev, in, opts.MMAS)
+	case AlgorithmEAS:
+		g, err = core.NewEASEngine(dev, in, opts.Params, 0)
+	case AlgorithmRank:
+		g, err = core.NewRankEngine(dev, in, opts.Params, 0)
 	}
+	if err != nil {
+		return nil, err
+	}
+	defer g.Free()
+	if tr != nil {
+		g.SetTracer(tr)
+	}
+	if t, ok := g.(interface{ SetTourVersion(TourVersion) }); ok && opts.Tour != 0 {
+		t.SetTourVersion(opts.Tour)
+	}
+	tour, l, secs, err := g.RunContext(ctx, opts.Iterations)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{BestTour: tour, BestLen: l, SimulatedSeconds: secs, Trace: tr}, nil
 }
 
-// solveMMAS runs the Max-Min Ant System variant on either backend. Like
-// the AS path, only unset (zero-valued) MMAS fields are defaulted; the
-// seed falls back to opts.Params.Seed when unset.
-func solveMMAS(ctx context.Context, in *Instance, opts SolveOptions) (*Result, error) {
-	p := opts.MMAS.WithDefaults(opts.Params.Seed)
-	switch opts.Backend {
-	case BackendCPU:
-		c, err := aco.NewMMASColony(in, p)
-		if err != nil {
-			return nil, err
-		}
-		tr := newTracer(ctx, opts)
-		c.Tracer = tr
-		c.ResetMeters()
-		tour, l, err := c.RunContext(ctx, opts.Variant, opts.Iterations)
-		if err != nil {
-			return nil, err
-		}
-		cpu := aco.DefaultCPU()
-		total := c.ConstructMeter
-		total.Add(&c.PheromoneMeter)
-		total.Add(&c.ChoiceMeter)
-		return &Result{BestTour: tour, BestLen: l, SimulatedSeconds: cpu.Seconds(&total), Trace: tr}, nil
-	case BackendGPU:
-		dev := gpuDevice(ctx, opts)
-		e, err := core.NewMMASEngine(dev, in, p)
-		if err != nil {
-			return nil, err
-		}
-		defer e.Free()
-		tr := newTracer(ctx, opts)
-		if tr != nil {
-			e.SetTracer(tr)
-		}
-		if opts.Tour != 0 {
-			e.SetTourVersion(opts.Tour)
-		}
-		tour, l, secs, err := e.RunContext(ctx, opts.Iterations)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{BestTour: tour, BestLen: l, SimulatedSeconds: secs, Trace: tr}, nil
-	case BackendTensor:
+// solveTensor is the tensor backend's builder: the algorithm picks the
+// engine constructor and its iteration; every cell closes its engine's
+// worker pool when done. ACS and MMAS carry their own Params, whose unset
+// Workers falls back to Params.Workers. The engine runs natively on the
+// host, so the result reports the real wall-clock seconds of the
+// iterations (timed after the build), not a modelled estimate.
+func solveTensor(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.Collector) (*Result, error) {
+	for _, p := range []*aco.Params{&opts.ACS.Params, &opts.MMAS.Params} {
 		if p.Workers == 0 {
-			// Like the seed, the worker knob falls back to the AS-level
-			// Params of the enclosing solve options.
 			p.Workers = opts.Params.Workers
 		}
-		e, err := tensor.NewMMAS(in, p)
-		if err != nil {
-			return nil, err
-		}
-		defer e.Close()
-		tr := newTracer(ctx, opts)
-		e.Tracer = tr
-		e.Conv = solveConv(opts, in)
-		start := time.Now()
-		tour, l, err := e.RunContext(ctx, opts.Variant, opts.Iterations)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{BestTour: tour, BestLen: l, SimulatedSeconds: time.Since(start).Seconds(), Trace: tr}, nil
-	default:
-		return nil, fmt.Errorf("antgpu: unknown backend %d", opts.Backend)
 	}
-}
-
-// solveVariant runs the Elitist or Rank-based Ant System on either backend
-// with the default variant parameters (e = m, w = 6).
-func solveVariant(ctx context.Context, in *Instance, opts SolveOptions) (*Result, error) {
-	if opts.Backend == BackendTensor {
-		return nil, fmt.Errorf("antgpu: the tensor backend supports AS, ACS and MMAS; %v is not tensorized", opts.Algorithm)
+	// Every tensor cell consumes the derived data, at its own NN width.
+	nn := map[Algorithm]int{AlgorithmAS: opts.Params.NN, AlgorithmACS: opts.ACS.NN, AlgorithmMMAS: opts.MMAS.NN}
+	d, err := hostDerived(opts, in, nn[opts.Algorithm])
+	if err != nil {
+		return nil, err
 	}
-	tr := newTracer(ctx, opts)
-	switch opts.Backend {
-	case BackendCPU:
-		var run func() ([]int32, int64, *aco.Colony, error)
-		if opts.Algorithm == AlgorithmEAS {
-			c, err := aco.NewEASColony(in, opts.Params, 0)
-			if err != nil {
-				return nil, err
-			}
-			c.Tracer = tr
-			run = func() ([]int32, int64, *aco.Colony, error) {
-				tour, l, err := c.RunContext(ctx, opts.Variant, opts.Iterations)
-				return tour, l, c.Colony, err
-			}
-		} else {
-			c, err := aco.NewRankColony(in, opts.Params, 0)
-			if err != nil {
-				return nil, err
-			}
-			c.Tracer = tr
-			run = func() ([]int32, int64, *aco.Colony, error) {
-				tour, l, err := c.RunContext(ctx, opts.Variant, opts.Iterations)
-				return tour, l, c.Colony, err
-			}
+	var (
+		e    *tensor.Engine
+		step func()
+	)
+	v := opts.Variant
+	switch opts.Algorithm {
+	case AlgorithmAS:
+		if e, err = tensor.NewWithDerived(in, opts.Params, d); err != nil {
+			return nil, err
 		}
-		tour, l, col, err := run()
+		step = func() { e.Iterate(v) }
+		if opts.LocalSearch {
+			step = func() { e.IterateWithLocalSearch(v) }
+		}
+	case AlgorithmACS:
+		a, err := tensor.NewACSWithDerived(in, opts.ACS, d)
 		if err != nil {
 			return nil, err
 		}
-		cpu := aco.DefaultCPU()
-		total := col.ConstructMeter
-		total.Add(&col.PheromoneMeter)
-		total.Add(&col.ChoiceMeter)
-		return &Result{BestTour: tour, BestLen: l, SimulatedSeconds: cpu.Seconds(&total), Trace: tr}, nil
-	case BackendGPU:
-		dev := gpuDevice(ctx, opts)
-		var tour []int32
-		var l int64
-		var secs float64
-		var err error
-		if opts.Algorithm == AlgorithmEAS {
-			var e *core.EASEngine
-			if e, err = core.NewEASEngine(dev, in, opts.Params, 0); err == nil {
-				defer e.Free()
-				if tr != nil {
-					e.SetTracer(tr)
-				}
-				if opts.Tour != 0 {
-					e.SetTourVersion(opts.Tour)
-				}
-				tour, l, secs, err = e.RunContext(ctx, opts.Iterations)
-			}
-		} else {
-			var r *core.RankEngine
-			if r, err = core.NewRankEngine(dev, in, opts.Params, 0); err == nil {
-				defer r.Free()
-				if tr != nil {
-					r.SetTracer(tr)
-				}
-				if opts.Tour != 0 {
-					r.SetTourVersion(opts.Tour)
-				}
-				tour, l, secs, err = r.RunContext(ctx, opts.Iterations)
-			}
-		}
+		e, step = a.Engine, a.Iterate
+	case AlgorithmMMAS:
+		m, err := tensor.NewMMASWithDerived(in, opts.MMAS, d)
 		if err != nil {
 			return nil, err
 		}
-		return &Result{BestTour: tour, BestLen: l, SimulatedSeconds: secs, Trace: tr}, nil
-	default:
-		return nil, fmt.Errorf("antgpu: unknown backend %d", opts.Backend)
+		e, step = m.Engine, func() { m.Iterate(v) }
 	}
-}
-
-// solveACS runs the Ant Colony System variant on either backend. Like the
-// AS path, only unset (zero-valued) ACS fields are defaulted; the seed
-// falls back to opts.Params.Seed when unset.
-func solveACS(ctx context.Context, in *Instance, opts SolveOptions) (*Result, error) {
-	p := opts.ACS.WithDefaults(opts.Params.Seed)
-	switch opts.Backend {
-	case BackendCPU:
-		c, err := aco.NewACSColony(in, p)
-		if err != nil {
-			return nil, err
-		}
-		tr := newTracer(ctx, opts)
-		c.Tracer = tr
-		c.ResetMeters()
-		tour, l, err := c.RunContext(ctx, opts.Iterations)
-		if err != nil {
-			return nil, err
-		}
-		cpu := aco.DefaultCPU()
-		total := c.ConstructMeter
-		total.Add(&c.PheromoneMeter)
-		total.Add(&c.ChoiceMeter)
-		return &Result{BestTour: tour, BestLen: l, SimulatedSeconds: cpu.Seconds(&total), Trace: tr}, nil
-	case BackendGPU:
-		dev := gpuDevice(ctx, opts)
-		e, err := core.NewACSEngine(dev, in, p)
-		if err != nil {
-			return nil, err
-		}
-		defer e.Free()
-		tr := newTracer(ctx, opts)
-		if tr != nil {
-			e.SetTracer(tr)
-		}
-		tour, l, secs, err := e.RunContext(ctx, opts.Iterations)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{BestTour: tour, BestLen: l, SimulatedSeconds: secs, Trace: tr}, nil
-	case BackendTensor:
-		if p.Workers == 0 {
-			// Like the seed, the worker knob falls back to the AS-level
-			// Params of the enclosing solve options.
-			p.Workers = opts.Params.Workers
-		}
-		e, err := tensor.NewACS(in, p)
-		if err != nil {
-			return nil, err
-		}
-		defer e.Close()
-		tr := newTracer(ctx, opts)
-		e.Tracer = tr
-		e.Conv = solveConv(opts, in)
-		start := time.Now()
-		tour, l, err := e.RunContext(ctx, opts.Iterations)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{BestTour: tour, BestLen: l, SimulatedSeconds: time.Since(start).Seconds(), Trace: tr}, nil
-	default:
-		return nil, fmt.Errorf("antgpu: unknown backend %d", opts.Backend)
+	defer e.Close()
+	e.Tracer, e.Conv = tr, solveConv(opts, in)
+	start := time.Now()
+	if err := iterate(ctx, opts.Iterations, step); err != nil {
+		return nil, err
 	}
+	return &Result{BestTour: e.BestTour, BestLen: e.BestLen,
+		SimulatedSeconds: time.Since(start).Seconds(), Trace: tr}, nil
 }

@@ -123,7 +123,7 @@ func run(args []string, stdout io.Writer) error {
 		in.Name, in.N(), in.Type, p.AntCount(in.N()), *iters)
 
 	if v := strings.ToLower(*alg); v == "acs" || v == "mmas" || v == "eas" || v == "rank" {
-		opts := antgpu.SolveOptions{Iterations: *iters, Profile: *profile, Metrics: reg, Optimum: *optimum}
+		opts := antgpu.SolveOptions{Iterations: *iters, LocalSearch: *ls, Profile: *profile, Metrics: reg, Optimum: *optimum}
 		switch v {
 		case "eas":
 			opts.Algorithm = antgpu.AlgorithmEAS
@@ -175,16 +175,16 @@ func run(args []string, stdout io.Writer) error {
 		return emitProfile(stdout, res.Trace, *traceOut)
 	}
 
+	v := aco.NNListConstruction
+	if *variant == "full" {
+		v = aco.FullProbabilistic
+	}
 	if *backend == "tensor" {
 		if *runs > 1 {
 			return fmt.Errorf("-runs is not supported with -backend tensor (use the batch API)")
 		}
 		if *iterLog {
 			return fmt.Errorf("-trace is not supported with -backend tensor")
-		}
-		v := aco.NNListConstruction
-		if *variant == "full" {
-			v = aco.FullProbabilistic
 		}
 		res, err := antgpu.Solve(in, antgpu.SolveOptions{
 			Params: p, Iterations: *iters, Variant: v, Backend: antgpu.BackendTensor,
@@ -202,59 +202,35 @@ func run(args []string, stdout io.Writer) error {
 		return emitProfile(stdout, res.Trace, *traceOut)
 	}
 
-	if *backend == "cpu" {
-		v := aco.NNListConstruction
-		if *variant == "full" {
-			v = aco.FullProbabilistic
-		}
-		if *runs > 1 {
-			results, best, err := aco.IndependentRuns(in, p, v, *runs, *iters)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "best of %d independent runs (seed %d):\n", *runs, results[best].Seed)
-			if err := report(stdout, in, results[best].BestTour, results[best].BestLen, 0, "modelled CPU"); err != nil {
-				return err
-			}
-			return writeTour(stdout, *tourOut, in, results[best].BestTour)
-		}
-		res, err := antgpu.Solve(in, antgpu.SolveOptions{
-			Params: p, Iterations: *iters, Variant: v, LocalSearch: *ls, Profile: *profile,
-			Metrics: reg, Optimum: *optimum,
-		})
-		if err != nil {
-			return err
-		}
-		if err := report(stdout, in, res.BestTour, res.BestLen, res.SimulatedSeconds, "modelled CPU"); err != nil {
-			return err
-		}
-		if err := writeTour(stdout, *tourOut, in, res.BestTour); err != nil {
-			return err
-		}
-		return emitProfile(stdout, res.Trace, *traceOut)
-	}
-
 	var dev *antgpu.Device
-	switch strings.ToLower(*device) {
-	case "c1060":
-		dev = antgpu.TeslaC1060()
-	case "m2050":
-		dev = antgpu.TeslaM2050()
-	default:
-		return fmt.Errorf("unknown device %q (want c1060 or m2050)", *device)
+	if *backend == "gpu" {
+		switch strings.ToLower(*device) {
+		case "c1060":
+			dev = antgpu.TeslaC1060()
+		case "m2050":
+			dev = antgpu.TeslaM2050()
+		default:
+			return fmt.Errorf("unknown device %q (want c1060 or m2050)", *device)
+		}
+		fmt.Fprintf(stdout, "device: %s\n", dev)
 	}
-	fmt.Fprintf(stdout, "device: %s\n", dev)
+	be, name, clock := antgpu.BackendCPU, "CPU", "modelled"
+	if dev != nil {
+		be, name, clock = antgpu.BackendGPU, "GPU", "simulated"
+	}
 
-	if *runs > 1 && !*iterLog {
+	// -trace drives one GPU engine directly, so on the GPU it wins over -runs.
+	if *runs > 1 && (dev == nil || !*iterLog) {
 		// Best-of over consecutive seeds, scheduled concurrently: every run
-		// solves on a private clone of dev and the runs share the instance's
-		// derived data through the batch pool's cache.
+		// solves on its own colony (on the GPU, a private clone of dev) and
+		// the runs share the instance's derived data through the batch
+		// pool's cache.
 		reqs := make([]antgpu.SolveRequest, *runs)
 		for i := range reqs {
 			pi := p
 			pi.Seed = *seed + uint64(i)
 			reqs[i] = antgpu.SolveRequest{Instance: in, Options: antgpu.SolveOptions{
-				Params: pi, Iterations: *iters, Backend: antgpu.BackendGPU,
+				Params: pi, Iterations: *iters, Backend: be, Variant: v,
 				Device: dev, Tour: antgpu.TourVersion(*tourV), Pher: antgpu.PherVersion(*pherV),
 				LocalSearch: *ls, Faults: faults, Optimum: *optimum,
 			}}
@@ -273,21 +249,21 @@ func run(args []string, stdout io.Writer) error {
 				best = i
 			}
 		}
-		fmt.Fprintf(stdout, "best of %d concurrent GPU runs (seed %d): "+
-			"%.3f s wall, %.3f s simulated total, cache %d hits / %d misses\n",
-			*runs, *seed+uint64(best), rep.WallSeconds, rep.SimulatedSeconds,
+		fmt.Fprintf(stdout, "best of %d concurrent %s runs (seed %d): "+
+			"%.3f s wall, %.3f s %s total, cache %d hits / %d misses\n",
+			*runs, name, *seed+uint64(best), rep.WallSeconds, rep.SimulatedSeconds, clock,
 			rep.CacheHits, rep.CacheMisses)
 		res := rep.Results[best].Result
 		reportRecovery(stdout, res.Recovery)
-		if err := report(stdout, in, res.BestTour, res.BestLen, res.SimulatedSeconds, "simulated GPU"); err != nil {
+		if err := report(stdout, in, res.BestTour, res.BestLen, res.SimulatedSeconds, clock+" "+name); err != nil {
 			return err
 		}
 		return writeTour(stdout, *tourOut, in, res.BestTour)
 	}
 
-	if !*iterLog {
+	if dev == nil || !*iterLog {
 		res, err := antgpu.Solve(in, antgpu.SolveOptions{
-			Params: p, Iterations: *iters, Backend: antgpu.BackendGPU,
+			Params: p, Iterations: *iters, Backend: be, Variant: v,
 			Device: dev, Tour: antgpu.TourVersion(*tourV), Pher: antgpu.PherVersion(*pherV),
 			LocalSearch: *ls, Profile: *profile, Faults: faults,
 			Metrics: reg, Optimum: *optimum,
@@ -296,7 +272,7 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		reportRecovery(stdout, res.Recovery)
-		if err := report(stdout, in, res.BestTour, res.BestLen, res.SimulatedSeconds, "simulated GPU"); err != nil {
+		if err := report(stdout, in, res.BestTour, res.BestLen, res.SimulatedSeconds, clock+" "+name); err != nil {
 			return err
 		}
 		if err := writeTour(stdout, *tourOut, in, res.BestTour); err != nil {

@@ -164,34 +164,39 @@ func TestInjectRejectsBadUsage(t *testing.T) {
 }
 
 func TestSmokeGPURuns(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{"-bench", "att48", "-seed", "7", "-iters", "3",
-		"-backend", "gpu", "-runs", "4", "-workers", "2"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(out.Bytes(), []byte("best of 4 concurrent GPU runs")) {
-		t.Fatalf("no best-of header in output:\n%s", out.String())
-	}
-	if !bytes.Contains(out.Bytes(), []byte("cache 3 hits / 1 misses")) {
-		t.Fatalf("runs did not share derived data:\n%s", out.String())
-	}
-	multi := bestLen(t, out.String())
-
-	// The best-of must match the best of four sequential single runs.
-	bestSolo := 0
-	for s := 7; s <= 10; s++ {
-		var solo bytes.Buffer
-		if err := run([]string{"-bench", "att48", "-seed", strconv.Itoa(s), "-iters", "3",
-			"-backend", "gpu"}, &solo); err != nil {
+	for _, tc := range []struct{ backend, header string }{
+		{"gpu", "best of 4 concurrent GPU runs"},
+		{"cpu", "best of 4 concurrent CPU runs"},
+	} {
+		var out bytes.Buffer
+		err := run([]string{"-bench", "att48", "-seed", "7", "-iters", "3",
+			"-backend", tc.backend, "-runs", "4", "-workers", "2"}, &out)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if l := bestLen(t, solo.String()); bestSolo == 0 || l < bestSolo {
-			bestSolo = l
+		if !bytes.Contains(out.Bytes(), []byte(tc.header)) {
+			t.Fatalf("%s: no best-of header in output:\n%s", tc.backend, out.String())
 		}
-	}
-	if multi != bestSolo {
-		t.Fatalf("best-of-4 reported %d, sequential best is %d", multi, bestSolo)
+		if !bytes.Contains(out.Bytes(), []byte("cache 3 hits / 1 misses")) {
+			t.Fatalf("%s: runs did not share derived data:\n%s", tc.backend, out.String())
+		}
+		multi := bestLen(t, out.String())
+
+		// The best-of must match the best of four sequential single runs.
+		bestSolo := 0
+		for s := 7; s <= 10; s++ {
+			var solo bytes.Buffer
+			if err := run([]string{"-bench", "att48", "-seed", strconv.Itoa(s), "-iters", "3",
+				"-backend", tc.backend}, &solo); err != nil {
+				t.Fatal(err)
+			}
+			if l := bestLen(t, solo.String()); bestSolo == 0 || l < bestSolo {
+				bestSolo = l
+			}
+		}
+		if multi != bestSolo {
+			t.Fatalf("%s: best-of-4 reported %d, sequential best is %d", tc.backend, multi, bestSolo)
+		}
 	}
 }
 

@@ -420,18 +420,36 @@ func (c *Colony) Iterate(v Variant) {
 	defer c.phase("iteration")()
 	c.ConstructTours(v)
 	c.UpdatePheromone()
-	if c.Conv != nil {
-		best := int64(math.MaxInt64)
-		sum := int64(0)
-		for _, l := range c.Lengths {
-			sum += l
-			if l < best {
-				best = l
-			}
-		}
-		c.Conv.RecordIteration(float64(best), float64(sum)/float64(c.m), c.BestLen)
-		c.Conv.RecordPheromone64(c.Pher, c.n)
+	c.recordConv()
+}
+
+// IterateWithLocalSearch is Iterate with 2-opt applied to every ant's tour
+// between construction and the pheromone update — the AS + local-search
+// configuration of ACOTSP.
+func (c *Colony) IterateWithLocalSearch(v Variant) {
+	defer c.phase("iteration")()
+	c.ConstructTours(v)
+	c.LocalSearchTours(c.m)
+	c.UpdatePheromone()
+	c.recordConv()
+}
+
+// recordConv hands the finished iteration to the convergence recorder, if
+// one is attached.
+func (c *Colony) recordConv() {
+	if c.Conv == nil {
+		return
 	}
+	best := int64(math.MaxInt64)
+	sum := int64(0)
+	for _, l := range c.Lengths {
+		sum += l
+		if l < best {
+			best = l
+		}
+	}
+	c.Conv.RecordIteration(float64(best), float64(sum)/float64(c.m), c.BestLen)
+	c.Conv.RecordPheromone64(c.Pher, c.n)
 }
 
 // Run executes `iters` iterations and returns the best tour found and its

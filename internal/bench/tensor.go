@@ -245,11 +245,13 @@ func tensorRows(in *tsp.Instance, label string, ants int, cfg TensorConfig) ([]T
 	rows := make([]TensorRow, 0, len(cfg.Workers))
 	w1Wall := time.Duration(0)
 	for _, w := range cfg.Workers {
-		if _, err := tensor.NewWithOptions(in, p, nil, tensor.Options{Workers: w}); err != nil {
+		pw := p
+		pw.Workers = w
+		if _, err := tensor.New(in, pw); err != nil {
 			return nil, fmt.Errorf("%s: tensor: %w", label, err)
 		}
 		tenWall, tenBest := minWall(func() (time.Duration, int64) {
-			e, _ := tensor.NewWithOptions(in, p, nil, tensor.Options{Workers: w})
+			e, _ := tensor.New(in, pw)
 			defer e.Close()
 			start := time.Now()
 			_, best := e.Run(aco.NNListConstruction, cfg.Iterations)

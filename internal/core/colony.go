@@ -119,11 +119,17 @@ func (e *Engine) Iterate(tv TourVersion, pv PherVersion) (*IterationResult, erro
 	if err != nil {
 		return nil, err
 	}
+	e.recordConv(l)
+	return &IterationResult{Construct: construct, Update: update, BestAnt: ant, BestLen: l}, nil
+}
+
+// recordConv hands the finished iteration, whose best ant scored l, to the
+// convergence recorder, if one is attached.
+func (e *Engine) recordConv(l int64) {
 	if e.conv != nil {
 		e.conv.RecordIteration(float64(l), e.lastMean, e.bestLen)
 		e.conv.RecordPheromone32(e.pher.Data(), e.n)
 	}
-	return &IterationResult{Construct: construct, Update: update, BestAnt: ant, BestLen: l}, nil
 }
 
 // Run executes iters full iterations and returns the best tour found, its

@@ -882,16 +882,7 @@ func (s *Service) buildSolve(req SubmitRequest) (in *antgpu.Instance, opts antgp
 		auto = true
 		opts.Backend = pickBackend(in.N(), req.Params.Ants, opts.Algorithm)
 	}
-	if opts.Backend == antgpu.BackendTensor &&
-		(opts.Algorithm == antgpu.AlgorithmEAS || opts.Algorithm == antgpu.AlgorithmRank) {
-		return bad("backend tensor supports algorithms as, acs and mmas only")
-	}
-	if req.LocalSearch {
-		if opts.Algorithm != antgpu.AlgorithmAS {
-			return bad("local_search is supported for algorithm as only")
-		}
-		opts.LocalSearch = true
-	}
+	opts.LocalSearch = req.LocalSearch
 	if req.Optimum < 0 {
 		return bad("optimum must be non-negative")
 	}
@@ -933,6 +924,11 @@ func (s *Service) buildSolve(req SubmitRequest) (in *antgpu.Instance, opts antgp
 		if req.NoFailover {
 			opts.Recovery = &antgpu.RecoveryOptions{DisableFailover: true}
 		}
+	}
+	// The facade's support matrix (backend × algorithm, local search for
+	// AS only) refuses a request here, before it takes a queue slot.
+	if err := opts.Validate(); err != nil {
+		return bad("%v", err)
 	}
 	return in, opts, auto, nil
 }

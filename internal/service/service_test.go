@@ -370,6 +370,7 @@ func TestSubmitValidation(t *testing.T) {
 		{Benchmark: "att48", Backend: "tpu"},
 		{Benchmark: "att48", Algorithm: "ga"},
 		{Benchmark: "att48", Algorithm: "acs", LocalSearch: true},
+		{Benchmark: "att48", Backend: "tensor", Algorithm: "eas"},
 		{Benchmark: "att48", Optimum: -5},
 		{Benchmark: "att48", Params: SubmitParams{Ants: -1}},
 	}

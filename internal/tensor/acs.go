@@ -33,16 +33,10 @@ func NewACS(in *tsp.Instance, p aco.ACSParams) (*ACS, error) {
 // NewACSWithDerived is NewACS drawing NN lists and C^nn from precomputed
 // derived data; nil recomputes them.
 func NewACSWithDerived(in *tsp.Instance, p aco.ACSParams, d *tsp.Derived) (*ACS, error) {
-	return NewACSWithOptions(in, p, d, Options{})
-}
-
-// NewACSWithOptions is NewACSWithDerived with engine options (the
-// per-request worker override).
-func NewACSWithOptions(in *tsp.Instance, p aco.ACSParams, d *tsp.Derived, o Options) (*ACS, error) {
 	if err := p.Validate(in.N()); err != nil {
 		return nil, err
 	}
-	e, err := NewWithOptions(in, p.Params, d, o)
+	e, err := NewWithDerived(in, p.Params, d)
 	if err != nil {
 		return nil, err
 	}

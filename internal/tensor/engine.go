@@ -42,7 +42,7 @@
 //
 // The engine is multicore: construction and 2-opt shard by ant, the fused
 // n²-sweeps shard by row, over a persistent worker pool
-// (Options.Workers / Params.Workers; 0 = GOMAXPROCS). Results are
+// (Params.Workers; 0 = GOMAXPROCS). Results are
 // bit-identical for any worker count — see parallel.go for the model.
 package tensor
 
@@ -121,13 +121,6 @@ func New(in *tsp.Instance, p aco.Params) (*Engine, error) {
 // does not consume d.DistF32 — lengths stay exact int64 — so it accepts
 // instances the float32 device path must refuse.
 func NewWithDerived(in *tsp.Instance, p aco.Params, d *tsp.Derived) (*Engine, error) {
-	return NewWithOptions(in, p, d, Options{})
-}
-
-// NewWithOptions is NewWithDerived with engine options — currently the
-// worker-count override for callers that size the pool per request (the
-// service layer) instead of through Params.Workers.
-func NewWithOptions(in *tsp.Instance, p aco.Params, d *tsp.Derived, o Options) (*Engine, error) {
 	if err := p.Validate(in.N()); err != nil {
 		return nil, err
 	}
@@ -137,7 +130,7 @@ func NewWithOptions(in *tsp.Instance, p aco.Params, d *tsp.Derived, o Options) (
 		n:       n,
 		m:       p.AntCount(n),
 		nn:      min(p.NN, n-1),
-		workers: resolveWorkers(o, p),
+		workers: resolveWorkers(p),
 	}
 	if d != nil && (d.N != n || d.NN != e.nn) {
 		return nil, fmt.Errorf("tensor: derived data shape (n=%d, nn=%d) does not match engine (n=%d, nn=%d)",

@@ -34,16 +34,10 @@ func NewMMAS(in *tsp.Instance, p aco.MMASParams) (*MMAS, error) {
 // NewMMASWithDerived is NewMMAS drawing NN lists and C^nn from precomputed
 // derived data; nil recomputes them.
 func NewMMASWithDerived(in *tsp.Instance, p aco.MMASParams, d *tsp.Derived) (*MMAS, error) {
-	return NewMMASWithOptions(in, p, d, Options{})
-}
-
-// NewMMASWithOptions is NewMMASWithDerived with engine options (the
-// per-request worker override).
-func NewMMASWithOptions(in *tsp.Instance, p aco.MMASParams, d *tsp.Derived, o Options) (*MMAS, error) {
 	if err := p.Validate(in.N()); err != nil {
 		return nil, err
 	}
-	e, err := NewWithOptions(in, p.Params, d, o)
+	e, err := NewWithDerived(in, p.Params, d)
 	if err != nil {
 		return nil, err
 	}

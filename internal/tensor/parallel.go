@@ -31,20 +31,10 @@ import (
 //
 // Workers is therefore purely a throughput knob.
 
-// Options configure engine behaviour orthogonal to the colony parameters.
-type Options struct {
-	// Workers bounds the engine's worker goroutines. Zero falls back to
-	// Params.Workers, then to runtime.GOMAXPROCS(0).
-	Workers int
-}
-
-// resolveWorkers picks the effective worker count: the explicit option,
-// else the Params-level knob, else one worker per schedulable CPU.
-func resolveWorkers(o Options, p aco.Params) int {
-	w := o.Workers
-	if w <= 0 {
-		w = p.Workers
-	}
+// resolveWorkers picks the effective worker count: Params.Workers, else
+// one worker per schedulable CPU.
+func resolveWorkers(p aco.Params) int {
+	w := p.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}

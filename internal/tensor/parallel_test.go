@@ -72,7 +72,9 @@ func TestWorkerCountInvarianceAS(t *testing.T) {
 
 	run := func(workers int) runSnapshot {
 		var events []metrics.IterationEvent
-		e, err := NewWithOptions(in, p, nil, Options{Workers: workers})
+		pw := p
+		pw.Workers = workers
+		e, err := New(in, pw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +106,9 @@ func TestWorkerCountInvarianceMMAS(t *testing.T) {
 
 	run := func(workers int) runSnapshot {
 		var events []metrics.IterationEvent
-		m, err := NewMMASWithOptions(in, p, nil, Options{Workers: workers})
+		pw := p
+		pw.Workers = workers
+		m, err := NewMMAS(in, pw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +138,9 @@ func TestWorkerCountInvarianceACS(t *testing.T) {
 
 	run := func(workers int) runSnapshot {
 		var events []metrics.IterationEvent
-		a, err := NewACSWithOptions(in, p, nil, Options{Workers: workers})
+		pw := p
+		pw.Workers = workers
+		a, err := NewACS(in, pw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +170,9 @@ func TestCheckpointAcrossWorkerCounts(t *testing.T) {
 	p.Ants = 12
 
 	mk := func(workers int) *Engine {
-		e, err := NewWithOptions(in, p, nil, Options{Workers: workers})
+		pw := p
+		pw.Workers = workers
+		e, err := New(in, pw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +220,8 @@ func TestConcurrentTwoOptScratchRegression(t *testing.T) {
 	p := aco.DefaultParams()
 	p.Ants = 16
 
-	e, err := NewWithOptions(in, p, nil, Options{Workers: 4})
+	p.Workers = 4
+	e, err := New(in, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +247,8 @@ func TestConcurrentTwoOptScratchRegression(t *testing.T) {
 	}
 }
 
-// TestWorkerResolution pins the knob precedence: Options.Workers beats
-// Params.Workers beats GOMAXPROCS.
+// TestWorkerResolution pins the knob precedence: Params.Workers beats
+// GOMAXPROCS.
 func TestWorkerResolution(t *testing.T) {
 	in := dyadicInstance(t)
 	p := dyadicParams()
@@ -263,13 +272,14 @@ func TestWorkerResolution(t *testing.T) {
 		t.Fatalf("Params.Workers=3 resolved to %d", e2.Workers())
 	}
 
-	e3, err := NewWithOptions(in, p, nil, Options{Workers: 5})
+	p.Workers = 5
+	e3, err := New(in, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e3.Close()
 	if e3.Workers() != 5 {
-		t.Fatalf("Options.Workers=5 resolved to %d", e3.Workers())
+		t.Fatalf("Params.Workers=5 resolved to %d", e3.Workers())
 	}
 
 	p.Workers = -1
