@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"antgpu/internal/cuda"
 	"antgpu/internal/rng"
@@ -61,9 +60,11 @@ func (e *Engine) tourDataParallel(v TourVersion) (*cuda.LaunchResult, error) {
 	}
 
 	// vectorKernel is the warp-granular twin of the scalar kernel below. The
-	// phase and Sync structure is identical line for line; every warp op
-	// documents which scalar access row it replaces. threads is a power of
-	// two >= 32, so all warps are full and tile in-lanes form a prefix mask.
+	// phase and Sync structure is identical line for line (the fused
+	// ReduceArgMaxShared runs the scalar tree's phases and Syncs); every
+	// warp op documents which scalar access row it replaces. threads is a
+	// power of two >= 32, so all warps are full and tile in-lanes form a
+	// prefix mask.
 	vectorKernel := func(b *cuda.Block) {
 		ant := b.LinearIdx()
 
@@ -163,31 +164,7 @@ func (e *Engine) tourDataParallel(v TourVersion) (*cuda.LaunchResult, error) {
 				})
 				b.Sync()
 				// Shared-memory max-reduction for the tile winner.
-				for s := threads / 2; s > 0; s /= 2 {
-					s := s
-					b.RunWarps(func(w *cuda.Warp) {
-						part := w.MaskTo(s - w.Base())
-						if part == 0 {
-							return
-						}
-						var aV, cV [32]float32
-						var iV [32]int32
-						w.LdShF32Masked(vals, w.Base(), part, aV[:])
-						w.LdShF32Masked(vals, w.Base()+s, part, cV[:])
-						w.Charge(chargeCompare)
-						var imp uint32
-						for mk := part; mk != 0; mk &= mk - 1 {
-							l := bits.TrailingZeros32(mk)
-							if cV[l] > aV[l] {
-								imp |= 1 << uint(l)
-							}
-						}
-						w.StShF32Masked(vals, w.Base(), imp, cV[:])
-						w.LdShI32Masked(idxs, w.Base()+s, imp, iV[:])
-						w.StShI32Masked(idxs, w.Base(), imp, iV[:])
-					})
-					b.Sync()
-				}
+				b.ReduceArgMaxShared(vals, idxs, threads, chargeCompare)
 				b.RunWarps(func(w *cuda.Warp) {
 					if w.ID() != 0 {
 						return

@@ -23,13 +23,15 @@ type equivOut struct {
 // runVectorEquivSequence drives every ported kernel once — choice, random
 // fill, data-parallel construction with and without texture, all five
 // pheromone versions, and (when unsampled) the 2-opt local search — and
-// snapshots meters and buffers.
-func runVectorEquivSequence(t *testing.T, dev *cuda.Device, vector, serial bool, budget int64) equivOut {
+// snapshots meters and buffers. dataThreads is the data-parallel
+// construction's block size on this 48-city instance: 32 forces multiple
+// tiles (and ragged tail warps); 128 is one tile over four warps, so its
+// max-reduction runs the cross-warp tree levels (s >= 32) paper-size
+// instances run.
+func runVectorEquivSequence(t *testing.T, dev *cuda.Device, vector, serial bool, budget int64, dataThreads int) equivOut {
 	t.Helper()
 	in := tsp.MustLoadBenchmark("att48")
-	// DataBlockThreads 32 forces multiple tiles (and ragged tail warps) in
-	// the data-parallel construction kernel on this 48-city instance.
-	e, err := core.NewEngineWithOptions(dev, in, aco.DefaultParams(), core.EngineOptions{DataBlockThreads: 32})
+	e, err := core.NewEngineWithOptions(dev, in, aco.DefaultParams(), core.EngineOptions{DataBlockThreads: dataThreads})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +99,8 @@ func runVectorEquivSequence(t *testing.T, dev *cuda.Device, vector, serial bool,
 // TestVectorScalarEquivalence sweeps every ported kernel across both device
 // models and the serial, parallel and block-sampled execution modes,
 // asserting that the warp-vector fast path and the scalar reference path
-// produce identical Meter structs and byte-identical buffers.
+// produce identical Meter structs and byte-identical buffers, with the
+// data-parallel construction on one-warp and on multi-warp blocks.
 func TestVectorScalarEquivalence(t *testing.T) {
 	devs := map[string]func() *cuda.Device{
 		"C1060": cuda.TeslaC1060,
@@ -115,33 +118,44 @@ func TestVectorScalarEquivalence(t *testing.T) {
 	for devName, newDev := range devs {
 		for _, mode := range modes {
 			t.Run(devName+"/"+mode.name, func(t *testing.T) {
-				s := runVectorEquivSequence(t, newDev(), false, mode.serial, mode.budget)
-				v := runVectorEquivSequence(t, newDev(), true, mode.serial, mode.budget)
-				if len(s.meters) != len(v.meters) {
-					t.Fatalf("kernel counts differ: scalar %d, vector %d", len(s.meters), len(v.meters))
-				}
-				for i := range s.meters {
-					if s.meters[i] != v.meters[i] {
-						t.Errorf("%s: meters differ\nscalar: %+v\nvector: %+v",
-							s.names[i], s.meters[i], v.meters[i])
-					}
-				}
-				if len(s.bufs) != len(v.bufs) {
-					t.Fatalf("buffer dumps differ in length: %d vs %d", len(s.bufs), len(v.bufs))
-				}
-				diffs := 0
-				for i := range s.bufs {
-					if s.bufs[i] != v.bufs[i] {
-						if diffs == 0 {
-							t.Errorf("buffers differ first at word %d: %#x vs %#x", i, s.bufs[i], v.bufs[i])
-						}
-						diffs++
-					}
-				}
-				if diffs > 0 {
-					t.Errorf("%d differing buffer words in total", diffs)
+				for _, threads := range []int{32, 128} {
+					t.Run(fmt.Sprintf("%dthreads", threads), func(t *testing.T) {
+						s := runVectorEquivSequence(t, newDev(), false, mode.serial, mode.budget, threads)
+						v := runVectorEquivSequence(t, newDev(), true, mode.serial, mode.budget, threads)
+						assertEquivOut(t, s, v)
+					})
 				}
 			})
 		}
+	}
+}
+
+// assertEquivOut asserts the scalar run s and the vector run v launched the
+// same kernels with == meters and left the same buffer words.
+func assertEquivOut(t *testing.T, s, v equivOut) {
+	t.Helper()
+	if len(s.meters) != len(v.meters) {
+		t.Fatalf("kernel counts differ: scalar %d, vector %d", len(s.meters), len(v.meters))
+	}
+	for i := range s.meters {
+		if s.meters[i] != v.meters[i] {
+			t.Errorf("%s: meters differ\nscalar: %+v\nvector: %+v",
+				s.names[i], s.meters[i], v.meters[i])
+		}
+	}
+	if len(s.bufs) != len(v.bufs) {
+		t.Fatalf("buffer dumps differ in length: %d vs %d", len(s.bufs), len(v.bufs))
+	}
+	diffs := 0
+	for i := range s.bufs {
+		if s.bufs[i] != v.bufs[i] {
+			if diffs == 0 {
+				t.Errorf("buffers differ first at word %d: %#x vs %#x", i, s.bufs[i], v.bufs[i])
+			}
+			diffs++
+		}
+	}
+	if diffs > 0 {
+		t.Errorf("%d differing buffer words in total", diffs)
 	}
 }

@@ -99,6 +99,12 @@ type Block struct {
 	// scratch for warp retirement
 	segScratch  []int64
 	bankScratch [64]int16
+
+	// Phase handles reused by every Run and RunWarps call: handing the
+	// closure a pointer into the block instead of a fresh local keeps the
+	// handle from escaping to the heap once per phase.
+	thread Thread
+	warp   Warp
 }
 
 // minStreamCap is the smallest initial per-lane stream capacity.
@@ -275,11 +281,13 @@ func (b *Block) Failf(format string, args ...any) {
 }
 
 // Run executes one per-thread phase over all threads of the block, warp by
-// warp, and retires each warp's metered operations.
+// warp, and retires each warp's metered operations. The *Thread is only
+// valid for the duration of the call: every thread of every Run phase of
+// the block is handed the same handle.
 func (b *Block) Run(f func(t *Thread)) {
 	b.meter.RunPhases++
 	ws := b.dev.WarpSize
-	var th Thread
+	th := &b.thread
 	th.b = b
 	for w := 0; w < b.warps; w++ {
 		base := w * ws
@@ -296,7 +304,7 @@ func (b *Block) Run(f func(t *Thread)) {
 			active++
 			th.tid = tid
 			th.lane = lane
-			f(&th)
+			f(th)
 		}
 		b.retireWarp(active)
 	}

@@ -1,6 +1,9 @@
 package cuda
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Warp is the kernel-side handle to one warp within a RunWarps phase: the
 // vector fast path of the simulator. Where a Run phase executes the closure
@@ -71,14 +74,15 @@ func (w *Warp) Diverge(extraIssues float64) { w.b.meter.DivergentExtra += extraI
 // RunWarps executes one warp-granular phase over all warps of the block, the
 // vector counterpart of Block.Run. The closure receives each warp once; the
 // *Warp is only valid for the duration of the call. Scalar Run phases and
-// vector RunWarps phases may be mixed freely within one kernel.
+// vector RunWarps phases may be mixed freely within one kernel. Every warp
+// of every RunWarps phase of the block is handed the same handle.
 func (b *Block) RunWarps(f func(w *Warp)) {
 	ws := b.dev.WarpSize
 	if ws > 32 {
 		panic("cuda: RunWarps requires WarpSize <= 32 (lane masks are uint32)")
 	}
 	b.meter.RunPhases++
-	var w Warp
+	w := &b.warp
 	w.b = b
 	for wi := 0; wi < b.warps; wi++ {
 		base := wi * ws
@@ -94,8 +98,103 @@ func (b *Block) RunWarps(f func(w *Warp)) {
 		} else {
 			w.mask = 1<<uint(active) - 1
 		}
-		f(&w)
+		f(w)
 		b.meter.LaneOps += int64(active)
+	}
+}
+
+// --- block-level shared-memory trees ----------------------------------------
+
+// ReduceArgMaxShared runs the shared-memory argmax tree of a block over
+// vals[0:n) and idxs[0:n), n a power of two: at each level s = n/2, ..., 1
+// every thread tid < s takes (vals[tid+s], idxs[tid+s]) when
+// vals[tid+s] > vals[tid], then the block syncs. The winner ends in slot 0;
+// ties, NaNs and -0 against +0 keep the lower slot, as the strict compare
+// does on the device.
+//
+// It is the fused form of the per-level vector loop
+//
+//	for s := n / 2; s > 0; s /= 2 {
+//		b.RunWarps(func(w *Warp) {
+//			part := w.MaskTo(s - w.Base()) // lanes with tid < s
+//			if part == 0 {
+//				return
+//			}
+//			w.LdShF32Masked(vals, w.Base(), part, a)
+//			w.LdShF32Masked(vals, w.Base()+s, part, c)
+//			w.Charge(charge)
+//			// imp: the lanes of part with c[l] > a[l]
+//			w.StShF32Masked(vals, w.Base(), imp, c)
+//			w.LdShI32Masked(idxs, w.Base()+s, imp, i)
+//			w.StShI32Masked(idxs, w.Base(), imp, i)
+//		})
+//		b.Sync()
+//	}
+//
+// and meters exactly what that loop meters: per level one run phase, every
+// warp's lane ops and the barrier; per warp with lanes below s two shared
+// loads and charge, plus three shared ops if any of its lanes improved.
+// Only the warps below s are visited; the others meter nothing but lanes.
+func (b *Block) ReduceArgMaxShared(vals []float32, idxs []int32, n int, charge float64) {
+	ws := b.dev.WarpSize
+	m := b.meter
+	for s := n / 2; s > 0; s /= 2 {
+		m.RunPhases++
+		hi := min(s, b.threads)
+		for base := 0; base < hi; base += ws {
+			end := min(base+ws, hi)
+			lo, up := vals[base:end], vals[base+s:end+s]
+			li, ui := idxs[base:end], idxs[base+s:end+s]
+			improved := 0
+			for i, a := range lo {
+				// Branch-free select: on random tile values the compare
+				// goes either way about half the time.
+				c := up[i]
+				var imp uint32
+				if c > a {
+					imp = 1
+				}
+				sel := -imp
+				ab := math.Float32bits(a)
+				lo[i] = math.Float32frombits(ab ^ (ab^math.Float32bits(c))&sel)
+				li[i] ^= (li[i] ^ ui[i]) & int32(sel)
+				improved += int(imp)
+			}
+			m.SharedInstr += 2
+			m.SharedOps += 2 * int64(end-base)
+			m.ComputeIssues += charge
+			if improved > 0 {
+				m.SharedInstr += 3
+				m.SharedOps += 3 * int64(improved)
+			}
+		}
+		m.LaneOps += int64(b.threads)
+		b.Sync()
+	}
+}
+
+// ReduceSumShared is the sum twin of ReduceArgMaxShared: at each level every
+// thread tid < s sets vals[tid] += vals[tid+s], metered as two shared loads,
+// one shared store and charge per warp with lanes below s, with the same
+// per-level phase, lane and barrier accounting. The float32 additions happen
+// in the device order, so the total is bit-identical to the per-level loop.
+func (b *Block) ReduceSumShared(vals []float32, n int, charge float64) {
+	ws := b.dev.WarpSize
+	m := b.meter
+	for s := n / 2; s > 0; s /= 2 {
+		m.RunPhases++
+		hi := min(s, b.threads)
+		for base := 0; base < hi; base += ws {
+			end := min(base+ws, hi)
+			for i := base; i < end; i++ {
+				vals[i] += vals[i+s]
+			}
+			m.SharedInstr += 3
+			m.SharedOps += 3 * int64(end-base)
+			m.ComputeIssues += charge
+		}
+		m.LaneOps += int64(b.threads)
+		b.Sync()
 	}
 }
 
@@ -126,10 +225,14 @@ func rowTx(base, count int, elemBytes, segBytes int64) int {
 	return int(last - first + 1)
 }
 
-// maskedRowTx counts the distinct segments of a masked row access. Skipped
-// lanes may skip whole segments, so the closed form does not apply; the
-// addresses are monotone in lane order, so consecutive dedup suffices.
+// maskedRowTx counts the distinct segments of a masked row access. A
+// contiguous run of lanes is a dense row, so the closed form applies.
+// Otherwise skipped lanes may skip whole segments; the addresses are
+// monotone in lane order, so consecutive dedup suffices.
 func maskedRowTx(base int, mask uint32, elemBytes, segBytes int64) int {
+	if lo, hi, ok := laneRun(mask); ok {
+		return rowTx(base+lo, hi-lo, elemBytes, segBytes)
+	}
 	tx := 0
 	prev := int64(-1)
 	first := true
@@ -202,6 +305,48 @@ func (b *Block) gatherTx(idxs []int32, mask uint32, elemBytes, segBytes int64) i
 
 func (b *Block) segBytes() int64 { return int64(b.dev.SegmentBytes) }
 
+// laneRun reports whether the lanes of a non-zero mask form one contiguous
+// run [lo, hi) — a prefix mask such as a tail warp's or MaskTo's, a suffix,
+// or a single lane — and returns it. Masked ops take a copy-based path for
+// such masks: the run is exactly the lanes a per-lane loop visits, in the
+// same ascending order with no holes, so the copy writes the same words and
+// the closed-form meters equal the per-lane ones.
+func laneRun(mask uint32) (lo, hi int, ok bool) {
+	lo = bits.TrailingZeros32(mask)
+	r := mask >> uint(lo)
+	return lo, lo + bits.OnesCount32(r), r&(r+1) == 0
+}
+
+// loadLanes reads s[base+l] into dst[l] for the lanes of a non-zero mask:
+// one copy for a contiguous run, a per-lane loop otherwise. It meters
+// nothing; the masked ops meter and then call it.
+func loadLanes[T float32 | int32](dst, s []T, base int, mask uint32) {
+	if lo, hi, ok := laneRun(mask); ok {
+		copy(dst[lo:hi], s[base+lo:base+hi])
+		return
+	}
+	for mk := mask; mk != 0; mk &= mk - 1 {
+		l := bits.TrailingZeros32(mk)
+		dst[l] = s[base+l]
+	}
+}
+
+// storeLanes is loadLanes' store twin: it writes src[l] to s[base+l] for
+// the lanes in mask (0 allowed).
+func storeLanes[T float32 | int32](s []T, base int, mask uint32, src []T) {
+	if mask == 0 {
+		return
+	}
+	if lo, hi, ok := laneRun(mask); ok {
+		copy(s[base+lo:base+hi], src[lo:hi])
+		return
+	}
+	for mk := mask; mk != 0; mk &= mk - 1 {
+		l := bits.TrailingZeros32(mk)
+		s[base+l] = src[l]
+	}
+}
+
 // --- global memory: rows ----------------------------------------------------
 
 // LdF32Row loads buf[base+l] into dst[l] for every live lane l: one global
@@ -220,10 +365,7 @@ func (w *Warp) LdF32Masked(buf *F32, base int, mask uint32, dst []float32) {
 	}
 	b := w.b
 	b.meterGlobalLoad(maskedRowTx(base, mask, 4, b.segBytes()), bits.OnesCount32(mask))
-	for mk := mask; mk != 0; mk &= mk - 1 {
-		l := bits.TrailingZeros32(mk)
-		dst[l] = buf.data[base+l]
-	}
+	loadLanes(dst, buf.data, base, mask)
 }
 
 // StF32Row stores src[l] to buf[base+l] for every live lane.
@@ -240,10 +382,7 @@ func (w *Warp) StF32Masked(buf *F32, base int, mask uint32, src []float32) {
 	}
 	b := w.b
 	b.meterGlobalStore(maskedRowTx(base, mask, 4, b.segBytes()), bits.OnesCount32(mask))
-	for mk := mask; mk != 0; mk &= mk - 1 {
-		l := bits.TrailingZeros32(mk)
-		buf.data[base+l] = src[l]
-	}
+	storeLanes(buf.data, base, mask, src)
 }
 
 // LdI32Row loads buf[base+l] into dst[l] for every live lane.
@@ -260,10 +399,7 @@ func (w *Warp) LdI32Masked(buf *I32, base int, mask uint32, dst []int32) {
 	}
 	b := w.b
 	b.meterGlobalLoad(maskedRowTx(base, mask, 4, b.segBytes()), bits.OnesCount32(mask))
-	for mk := mask; mk != 0; mk &= mk - 1 {
-		l := bits.TrailingZeros32(mk)
-		dst[l] = buf.data[base+l]
-	}
+	loadLanes(dst, buf.data, base, mask)
 }
 
 // StI32Row stores src[l] to buf[base+l] for every live lane.
@@ -280,10 +416,7 @@ func (w *Warp) StI32Masked(buf *I32, base int, mask uint32, src []int32) {
 	}
 	b := w.b
 	b.meterGlobalStore(maskedRowTx(base, mask, 4, b.segBytes()), bits.OnesCount32(mask))
-	for mk := mask; mk != 0; mk &= mk - 1 {
-		l := bits.TrailingZeros32(mk)
-		buf.data[base+l] = src[l]
-	}
+	storeLanes(buf.data, base, mask, src)
 }
 
 // --- global memory: strides, broadcasts, gathers ----------------------------
@@ -471,7 +604,10 @@ func (w *Warp) TexF32Row(tex *Texture, base int, dst []float32) {
 
 // TexF32Masked is TexF32Row restricted to the lanes in mask. Distinct lines
 // probe the tag cache in ascending lane order, exactly the scalar
-// retirement's probe sequence, so hits and misses are identical.
+// retirement's probe sequence, so hits and misses are identical. A
+// contiguous run of lanes touches every line between its first and last
+// lane's (a line holds at least one float), so it probes that line range
+// in ascending order without a per-lane pass.
 func (w *Warp) TexF32Masked(tex *Texture, base int, mask uint32, dst []float32) {
 	if mask == 0 {
 		return
@@ -481,6 +617,24 @@ func (w *Warp) TexF32Masked(tex *Texture, base int, mask uint32, dst []float32) 
 	m.TexInstr++
 	tc := b.texCache(tex.buf.id)
 	lineBytes := int64(b.dev.TextureLineBytes)
+	if lo, hi, ok := laneRun(mask); ok {
+		copy(dst[lo:hi], tex.buf.data[base+lo:base+hi])
+		missed := false
+		last := int64(base+hi-1) * 4 / lineBytes
+		for line := int64(base+lo) * 4 / lineBytes; line <= last; line++ {
+			if tc.probe(line) {
+				m.TexHits++
+			} else {
+				m.TexMisses++
+				missed = true
+			}
+		}
+		m.TexFetches += int64(hi - lo)
+		if missed {
+			m.TexMissInstr++
+		}
+		return
+	}
 	prev := int64(-1)
 	firstLine := true
 	missed := false
@@ -527,10 +681,7 @@ func (w *Warp) LdShF32Masked(s []float32, base int, mask uint32, dst []float32) 
 		return
 	}
 	w.b.meterShared(bits.OnesCount32(mask))
-	for mk := mask; mk != 0; mk &= mk - 1 {
-		l := bits.TrailingZeros32(mk)
-		dst[l] = s[base+l]
-	}
+	loadLanes(dst, s, base, mask)
 }
 
 // StShF32Row stores src[l] to s[base+l] for every live lane.
@@ -545,10 +696,7 @@ func (w *Warp) StShF32Masked(s []float32, base int, mask uint32, src []float32) 
 		return
 	}
 	w.b.meterShared(bits.OnesCount32(mask))
-	for mk := mask; mk != 0; mk &= mk - 1 {
-		l := bits.TrailingZeros32(mk)
-		s[base+l] = src[l]
-	}
+	storeLanes(s, base, mask, src)
 }
 
 // LdShI32Row loads s[base+l] into dst[l] for every live lane.
@@ -563,10 +711,7 @@ func (w *Warp) LdShI32Masked(s []int32, base int, mask uint32, dst []int32) {
 		return
 	}
 	w.b.meterShared(bits.OnesCount32(mask))
-	for mk := mask; mk != 0; mk &= mk - 1 {
-		l := bits.TrailingZeros32(mk)
-		dst[l] = s[base+l]
-	}
+	loadLanes(dst, s, base, mask)
 }
 
 // StShI32Row stores src[l] to s[base+l] for every live lane.
@@ -581,10 +726,7 @@ func (w *Warp) StShI32Masked(s []int32, base int, mask uint32, src []int32) {
 		return
 	}
 	w.b.meterShared(bits.OnesCount32(mask))
-	for mk := mask; mk != 0; mk &= mk - 1 {
-		l := bits.TrailingZeros32(mk)
-		s[base+l] = src[l]
-	}
+	storeLanes(s, base, mask, src)
 }
 
 // LdShF32Bcast models every live lane reading the same shared element: a
@@ -638,12 +780,6 @@ func (w *Warp) StShF32I32Row(sf []float32, vf []float32, maskF uint32, si []int3
 		return
 	}
 	w.b.meterShared(bits.OnesCount32(both))
-	for mk := maskF; mk != 0; mk &= mk - 1 {
-		l := bits.TrailingZeros32(mk)
-		sf[base+l] = vf[l]
-	}
-	for mk := maskI; mk != 0; mk &= mk - 1 {
-		l := bits.TrailingZeros32(mk)
-		si[base+l] = vi[l]
-	}
+	storeLanes(sf, base, maskF, vf)
+	storeLanes(si, base, maskI, vi)
 }

@@ -1,6 +1,7 @@
 package cuda_test
 
 import (
+	"math/bits"
 	"testing"
 
 	"antgpu/internal/cuda"
@@ -9,7 +10,7 @@ import (
 // Host-performance benchmarks for the simulator itself: ns of wall-clock
 // per simulated lane operation and allocations per launch, comparing the
 // per-thread scalar path against the warp-vector fast path on the same
-// access patterns. Run with:
+// access patterns (rows, atomics, and shared-memory argmax trees). Run with:
 //
 //	go test -bench=Launch -benchmem ./internal/cuda/
 const (
@@ -103,4 +104,74 @@ func BenchmarkLaunchScalarAtomics(b *testing.B) {
 func BenchmarkLaunchVectorAtomics(b *testing.B) {
 	_, vector, cfg := atomicKernels()
 	benchLoop(b, cfg, benchElems, vector)
+}
+
+// reduceTrees is the number of argmax trees each block of the reduce
+// benchmarks runs, each after a shared-row fill phase: the shape of the
+// data-parallel construction's per-tile selection.
+const reduceTrees = 8
+
+func reduceKernels() (scalar, vector cuda.Kernel, cfg cuda.LaunchConfig, laneOps int) {
+	cfg = cuda.LaunchConfig{
+		Grid:        cuda.D1(benchElems / benchBlock),
+		Block:       cuda.D1(benchBlock),
+		SharedBytes: 8 * benchBlock,
+	}
+	levels := bits.Len(uint(benchBlock)) - 1
+	laneOps = benchElems * reduceTrees * (1 + levels)
+	value := func(tree, tid int) float32 { return float32((tid*(2*tree+7) + tree) % 251) }
+	scalar = func(b *cuda.Block) {
+		vals := b.SharedF32(benchBlock)
+		idxs := b.SharedI32(benchBlock)
+		for tree := 0; tree < reduceTrees; tree++ {
+			b.Run(func(th *cuda.Thread) {
+				th.StShF32(vals, th.ID(), value(tree, th.ID()))
+				th.StShI32(idxs, th.ID(), int32(th.ID()))
+			})
+			b.Sync()
+			for s := benchBlock / 2; s > 0; s /= 2 {
+				b.Run(func(th *cuda.Thread) {
+					if th.ID() < s {
+						a := th.LdShF32(vals, th.ID())
+						c := th.LdShF32(vals, th.ID()+s)
+						th.Charge(1)
+						if c > a {
+							th.StShF32(vals, th.ID(), c)
+							th.StShI32(idxs, th.ID(), th.LdShI32(idxs, th.ID()+s))
+						}
+					}
+				})
+				b.Sync()
+			}
+		}
+	}
+	vector = func(b *cuda.Block) {
+		vals := b.SharedF32(benchBlock)
+		idxs := b.SharedI32(benchBlock)
+		for tree := 0; tree < reduceTrees; tree++ {
+			b.RunWarps(func(w *cuda.Warp) {
+				var v [32]float32
+				var ix [32]int32
+				for l := 0; l < w.Active(); l++ {
+					v[l] = value(tree, w.Base()+l)
+					ix[l] = int32(w.Base() + l)
+				}
+				w.StShF32Row(vals, w.Base(), v[:])
+				w.StShI32Row(idxs, w.Base(), ix[:])
+			})
+			b.Sync()
+			b.ReduceArgMaxShared(vals, idxs, benchBlock, 1)
+		}
+	}
+	return
+}
+
+func BenchmarkLaunchScalarReduce(b *testing.B) {
+	scalar, _, cfg, laneOps := reduceKernels()
+	benchLoop(b, cfg, laneOps, scalar)
+}
+
+func BenchmarkLaunchVectorReduce(b *testing.B) {
+	_, vector, cfg, laneOps := reduceKernels()
+	benchLoop(b, cfg, laneOps, vector)
 }

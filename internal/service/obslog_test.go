@@ -281,10 +281,10 @@ func TestTerminalFailureCrashDump(t *testing.T) {
 func TestFaultSpecValidation(t *testing.T) {
 	s, _ := newTestService(t, 1, 0, Options{})
 	for _, req := range []SubmitRequest{
-		{Benchmark: "att48", FaultSpec: "rate=0.1"},                                  // backend cpu
-		{Benchmark: "att48", Backend: "gpu", Algorithm: "acs", FaultSpec: "rate=1"},  // not AS
-		{Benchmark: "att48", Backend: "gpu", LocalSearch: true, NoFailover: true},    // local search
-		{Benchmark: "att48", Backend: "gpu", FaultSpec: "banana"},                    // malformed
+		{Benchmark: "att48", FaultSpec: "rate=0.1"},                                 // backend cpu
+		{Benchmark: "att48", Backend: "gpu", Algorithm: "acs", FaultSpec: "rate=1"}, // not AS
+		{Benchmark: "att48", Backend: "gpu", LocalSearch: true, NoFailover: true},   // local search
+		{Benchmark: "att48", Backend: "gpu", FaultSpec: "banana"},                   // malformed
 	} {
 		if _, err := s.Submit(context.Background(), "c", req); !errors.Is(err, ErrBadRequest) {
 			t.Errorf("Submit(%+v) err = %v, want ErrBadRequest", req, err)
