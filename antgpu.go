@@ -296,11 +296,10 @@ type SolveOptions struct {
 	// backend without LocalSearch, and fails Validate anywhere else.
 	Recovery *RecoveryOptions
 	// Metrics, when non-nil, collects telemetry from the solve into the
-	// registry: solve outcome counters on every path, per-kernel hardware
-	// counters from the simulated device (GPU backend), and — on the cells
-	// that deliver OnIteration events — per-iteration convergence gauges
-	// (best/mean tour length, pheromone entropy, λ-branching). Nil (the
-	// default) disables collection at zero cost. The registry only
+	// registry: solve outcome counters, per-kernel hardware counters from
+	// the simulated device (GPU backend), and per-iteration convergence
+	// gauges (best/mean tour length, pheromone entropy, λ-branching). Nil
+	// (the default) disables collection at zero cost. The registry only
 	// observes; solves stay deterministic and byte-identical with metrics
 	// on or off.
 	Metrics *Metrics
@@ -321,12 +320,9 @@ type SolveOptions struct {
 	// OnIteration, when non-nil, receives one IterationEvent per completed
 	// ACO iteration — iteration best/mean tour length, best-so-far, gap to
 	// Optimum, pheromone entropy and λ-branching — called synchronously
-	// from the solve goroutine in iteration order. It works with or
-	// without Metrics. The cells that deliver events are AlgorithmAS on
-	// every backend, with or without LocalSearch (on the GPU also through
-	// the fault-tolerant runtime), and AlgorithmACS and AlgorithmMMAS on
-	// the tensor backend; every other cell completes without events. This
-	// is the feed the antgpud service streams to clients over SSE.
+	// from the solve goroutine in iteration order, on every cell. It works
+	// with or without Metrics. This is the feed the antgpud service streams
+	// to clients over SSE.
 	OnIteration func(IterationEvent)
 
 	// cache, when non-nil, is the batch pool's shared derived-data cache
@@ -484,53 +480,20 @@ func hostDerived(opts SolveOptions, in *Instance, nn int) (*tsp.Derived, error) 
 	return d, err
 }
 
-// iterate calls step once per iteration, checking ctx before each — the
-// run loop of the CPU and tensor cells.
-func iterate(ctx context.Context, iters int, step func()) error {
-	for i := 0; i < iters; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		step()
-	}
-	return nil
-}
-
-// gpuEngine is what the GPU builder needs of an engine. Every GPU engine
-// embeds core.Engine (SetTracer, Free); ACS, MMAS, EAS and Rank already
-// run a whole solve through RunContext, and gpuAS adapts the AS engine.
-type gpuEngine interface {
-	SetTracer(*trace.Collector)
-	RunContext(ctx context.Context, iters int) ([]int32, int64, float64, error)
-	Free()
-}
-
-// gpuAS is the AS engine as a gpuEngine: it fixes the kernel versions and,
-// with local search, runs the 2-opt iteration instead of the plain one.
-type gpuAS struct {
-	*core.Engine
-	tv TourVersion
-	pv PherVersion
-	ls bool
-}
-
-func (a gpuAS) RunContext(ctx context.Context, iters int) ([]int32, int64, float64, error) {
-	if !a.ls {
-		return a.Engine.RunContext(ctx, a.tv, a.pv, iters)
-	}
-	secs := 0.0
-	for i := 0; i < iters; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, 0, err
-		}
-		res, err := a.IterateWithLocalSearch(a.tv, a.pv)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		secs += res.Construct.Seconds() + res.Update.Seconds()
-	}
-	tour, l := a.Best()
-	return tour, l, secs, nil
+// cell is one built solve cell as the run loop sees it.
+type cell struct {
+	// step runs one iteration. The GPU cells return its stages, whose
+	// simulated seconds the loop sums; the host cells return nil.
+	step func() (*core.IterationResult, error)
+	// record hands the latest iteration to the convergence recorder.
+	record func(*metrics.Convergence)
+	// best reads the best-so-far tour and its length.
+	best func() ([]int32, int64)
+	// seconds, when non-nil, reports a host cell's time once the loop is
+	// done: the modelled CPU seconds or the tensor engine's wall seconds.
+	seconds func() float64
+	// close, when non-nil, releases the engine.
+	close func()
 }
 
 // SolveContext is Solve with cancellation: the context is checked between
@@ -582,21 +545,76 @@ func SolveContext(ctx context.Context, in *Instance, opts SolveOptions) (res *Re
 		}()
 	}
 	tr := newTracer(ctx, opts)
-	switch opts.Backend {
-	case BackendCPU:
-		return solveCPU(ctx, in, opts, tr)
-	case BackendGPU:
-		return solveGPU(ctx, in, opts, tr)
+	if opts.Backend == BackendGPU && opts.Algorithm == AlgorithmAS &&
+		(opts.Faults != nil || opts.Recovery != nil) && !opts.LocalSearch {
+		res, err = solveRecovered(ctx, in, opts, tr)
+	} else {
+		res, err = run(ctx, in, opts, tr)
 	}
-	return solveTensor(ctx, in, opts, tr)
+	if err != nil {
+		return nil, err
+	}
+	// The invariant every cell owes its caller, checked once in O(n): the
+	// best tour is a permutation of the cities and BestLen is its length.
+	if err := in.ValidTour(res.BestTour); err != nil {
+		return nil, fmt.Errorf("antgpu: %v/%v best tour: %w", opts.Backend, opts.Algorithm, err)
+	}
+	if l := in.TourLength(res.BestTour); l != res.BestLen {
+		return nil, fmt.Errorf("antgpu: %v/%v best tour has length %d, not the reported %d",
+			opts.Backend, opts.Algorithm, l, res.BestLen)
+	}
+	res.Trace = tr
+	return res, nil
 }
 
-// solveCPU is the CPU backend's builder: the algorithm picks the colony
+// run builds the cell the options select and drives it through the one
+// run loop every cell shares: check ctx, step one iteration, record it.
+func run(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.Collector) (*Result, error) {
+	var (
+		c   cell
+		err error
+	)
+	switch opts.Backend {
+	case BackendCPU:
+		c, err = cpuCell(in, opts, tr)
+	case BackendGPU:
+		c, err = gpuCell(ctx, in, opts, tr)
+	default:
+		c, err = tensorCell(in, opts, tr)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if c.close != nil {
+		defer c.close()
+	}
+	conv := solveConv(opts, in)
+	secs := 0.0
+	for i := 0; i < opts.Iterations; i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		it, err := c.step()
+		if err != nil {
+			return nil, err
+		}
+		if it != nil {
+			secs += it.Construct.Seconds() + it.Update.Seconds()
+		}
+		c.record(conv)
+	}
+	if c.seconds != nil {
+		secs = c.seconds()
+	}
+	tour, l := c.best()
+	return &Result{BestTour: tour, BestLen: l, SimulatedSeconds: secs}, nil
+}
+
+// cpuCell builds a CPU-backend cell: the algorithm picks the colony
 // constructor and its iteration, and every cell shares the rest — the
-// colony carries the tracer and the convergence recorder, its meters are
-// reset after construction, and the result reports the modelled CPU
-// seconds of the iterations alone.
-func solveCPU(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.Collector) (*Result, error) {
+// colony carries the tracer, its meters are reset after construction, and
+// the cell reports the modelled CPU seconds of the iterations alone.
+func cpuCell(in *Instance, opts SolveOptions, tr *trace.Collector) (cell, error) {
 	var (
 		c    *aco.Colony
 		step func()
@@ -606,10 +624,10 @@ func solveCPU(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.Co
 	case AlgorithmAS:
 		d, err := hostDerived(opts, in, opts.Params.NN)
 		if err != nil {
-			return nil, err
+			return cell{}, err
 		}
 		if c, err = aco.NewWithDerived(in, opts.Params, d); err != nil {
-			return nil, err
+			return cell{}, err
 		}
 		step = func() { c.Iterate(v) }
 		if opts.LocalSearch {
@@ -618,118 +636,147 @@ func solveCPU(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.Co
 	case AlgorithmACS:
 		a, err := aco.NewACSColony(in, opts.ACS)
 		if err != nil {
-			return nil, err
+			return cell{}, err
 		}
 		c, step = a.Colony, a.Iterate
 	case AlgorithmMMAS:
 		m, err := aco.NewMMASColony(in, opts.MMAS)
 		if err != nil {
-			return nil, err
+			return cell{}, err
 		}
 		c, step = m.Colony, func() { m.Iterate(v) }
 	case AlgorithmEAS:
 		e, err := aco.NewEASColony(in, opts.Params, 0)
 		if err != nil {
-			return nil, err
+			return cell{}, err
 		}
 		c, step = e.Colony, func() { e.Iterate(v) }
 	case AlgorithmRank:
 		r, err := aco.NewRankColony(in, opts.Params, 0)
 		if err != nil {
-			return nil, err
+			return cell{}, err
 		}
 		c, step = r.Colony, func() { r.Iterate(v) }
 	}
-	c.Tracer, c.Conv = tr, solveConv(opts, in)
+	c.Tracer = tr
 	c.ResetMeters()
-	if err := iterate(ctx, opts.Iterations, step); err != nil {
-		return nil, err
-	}
-	total := c.ConstructMeter
-	total.Add(&c.PheromoneMeter)
-	total.Add(&c.ChoiceMeter)
-	return &Result{BestTour: c.BestTour, BestLen: c.BestLen,
-		SimulatedSeconds: aco.DefaultCPU().Seconds(&total), Trace: tr}, nil
+	return cell{
+		step:   func() (*core.IterationResult, error) { step(); return nil, nil },
+		record: c.Record,
+		best:   func() ([]int32, int64) { return c.BestTour, c.BestLen },
+		seconds: func() float64 {
+			total := c.ConstructMeter
+			total.Add(&c.PheromoneMeter)
+			total.Add(&c.ChoiceMeter)
+			return aco.DefaultCPU().Seconds(&total)
+		},
+	}, nil
 }
 
-// solveGPU is the simulated-GPU backend's builder. Every cell runs on a
-// private device (gpuDevice) and frees its engine when done. AS fills in
-// the paper's default kernels and, when Faults or Recovery is set without
-// LocalSearch, runs through the fault-tolerant runtime, which owns its
-// engines; MMAS, EAS and Rank honour an explicit Tour.
-func solveGPU(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.Collector) (*Result, error) {
+// asKernels returns the GPU AS kernel versions: the requested ones, or
+// the paper's defaults — data-parallel construction up to 500 cities, the
+// NN-list kernel beyond, and the atomic + shared-memory update.
+func asKernels(in *Instance, opts SolveOptions) (TourVersion, PherVersion) {
+	tv, pv := opts.Tour, opts.Pher
+	if tv == 0 {
+		tv = TourDataParallelTexture
+		if in.N() > 500 {
+			tv = TourNNSharedTexture
+		}
+	}
+	if pv == 0 {
+		pv = PherAtomicShared
+	}
+	return tv, pv
+}
+
+// gpuCell builds a simulated-GPU cell on a private device (gpuDevice)
+// whose close frees the engine. AS runs asKernels; MMAS, EAS and Rank
+// honour an explicit Tour.
+func gpuCell(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.Collector) (cell, error) {
 	dev := gpuDevice(ctx, opts)
 	var (
-		g   gpuEngine
-		err error
+		e       *core.Engine
+		step    func() (*core.IterationResult, error)
+		free    func()
+		setTour func(TourVersion)
 	)
 	switch opts.Algorithm {
 	case AlgorithmAS:
-		tv, pv := opts.Tour, opts.Pher
-		if tv == 0 {
-			tv = TourDataParallelTexture
-			if in.N() > 500 {
-				tv = TourNNSharedTexture
-			}
-		}
-		if pv == 0 {
-			pv = PherAtomicShared
-		}
-		if (opts.Faults != nil || opts.Recovery != nil) && !opts.LocalSearch {
-			var ro RecoveryOptions
-			if opts.Recovery != nil {
-				ro = *opts.Recovery
-			}
-			tour, l, secs, rep, err := core.RunRecovered(ctx, dev, in, opts.Params,
-				tv, pv, opts.Iterations, ro, tr, solveConv(opts, in), opts.Logger)
-			if err != nil {
-				return nil, err
-			}
-			return &Result{BestTour: tour, BestLen: l, SimulatedSeconds: secs, Trace: tr, Recovery: rep}, nil
-		}
 		d, err := derivedData(opts, in, opts.Params.NN)
 		if err != nil {
-			return nil, err
+			return cell{}, err
 		}
-		e, err := core.NewEngineWithOptions(dev, in, opts.Params, core.EngineOptions{Derived: d})
-		if err != nil {
-			return nil, err
+		if e, err = core.NewEngineWithOptions(dev, in, opts.Params, core.EngineOptions{Derived: d}); err != nil {
+			return cell{}, err
 		}
-		e.SetMetrics(solveConv(opts, in))
-		g = gpuAS{Engine: e, tv: tv, pv: pv, ls: opts.LocalSearch}
+		tv, pv := asKernels(in, opts)
+		step = func() (*core.IterationResult, error) { return e.Iterate(tv, pv) }
+		if opts.LocalSearch {
+			step = func() (*core.IterationResult, error) { return e.IterateWithLocalSearch(tv, pv) }
+		}
 	case AlgorithmACS:
-		g, err = core.NewACSEngine(dev, in, opts.ACS)
+		a, err := core.NewACSEngine(dev, in, opts.ACS)
+		if err != nil {
+			return cell{}, err
+		}
+		e, step, free = a.Engine, a.Iterate, a.Free
 	case AlgorithmMMAS:
-		g, err = core.NewMMASEngine(dev, in, opts.MMAS)
+		m, err := core.NewMMASEngine(dev, in, opts.MMAS)
+		if err != nil {
+			return cell{}, err
+		}
+		e, step, setTour = m.Engine, m.Iterate, m.SetTourVersion
 	case AlgorithmEAS:
-		g, err = core.NewEASEngine(dev, in, opts.Params, 0)
+		x, err := core.NewEASEngine(dev, in, opts.Params, 0)
+		if err != nil {
+			return cell{}, err
+		}
+		e, step, setTour = x.Engine, x.Iterate, x.SetTourVersion
 	case AlgorithmRank:
-		g, err = core.NewRankEngine(dev, in, opts.Params, 0)
+		r, err := core.NewRankEngine(dev, in, opts.Params, 0)
+		if err != nil {
+			return cell{}, err
+		}
+		e, step, setTour = r.Engine, r.Iterate, r.SetTourVersion
 	}
-	if err != nil {
-		return nil, err
+	if free == nil {
+		free = e.Free
 	}
-	defer g.Free()
 	if tr != nil {
-		g.SetTracer(tr)
+		e.SetTracer(tr)
 	}
-	if t, ok := g.(interface{ SetTourVersion(TourVersion) }); ok && opts.Tour != 0 {
-		t.SetTourVersion(opts.Tour)
+	if setTour != nil && opts.Tour != 0 {
+		setTour(opts.Tour)
 	}
-	tour, l, secs, err := g.RunContext(ctx, opts.Iterations)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{BestTour: tour, BestLen: l, SimulatedSeconds: secs, Trace: tr}, nil
+	return cell{step: step, record: e.Record, best: e.Best, close: free}, nil
 }
 
-// solveTensor is the tensor backend's builder: the algorithm picks the
-// engine constructor and its iteration; every cell closes its engine's
-// worker pool when done. ACS and MMAS carry their own Params, whose unset
+// solveRecovered runs GPU AS through the fault-tolerant runtime, which
+// owns its engines and its retrying loop, and records each committed
+// iteration itself.
+func solveRecovered(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.Collector) (*Result, error) {
+	dev := gpuDevice(ctx, opts)
+	var ro RecoveryOptions
+	if opts.Recovery != nil {
+		ro = *opts.Recovery
+	}
+	tv, pv := asKernels(in, opts)
+	tour, l, secs, rep, err := core.RunRecovered(ctx, dev, in, opts.Params,
+		tv, pv, opts.Iterations, ro, tr, solveConv(opts, in), opts.Logger)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{BestTour: tour, BestLen: l, SimulatedSeconds: secs, Recovery: rep}, nil
+}
+
+// tensorCell builds a tensor-backend cell: the algorithm picks the engine
+// constructor and its iteration; every cell closes its engine's worker
+// pool when done. ACS and MMAS carry their own Params, whose unset
 // Workers falls back to Params.Workers. The engine runs natively on the
-// host, so the result reports the real wall-clock seconds of the
-// iterations (timed after the build), not a modelled estimate.
-func solveTensor(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.Collector) (*Result, error) {
+// host, so the cell reports the real wall-clock seconds of the iterations
+// (timed after the build), not a modelled estimate.
+func tensorCell(in *Instance, opts SolveOptions, tr *trace.Collector) (cell, error) {
 	for _, p := range []*aco.Params{&opts.ACS.Params, &opts.MMAS.Params} {
 		if p.Workers == 0 {
 			p.Workers = opts.Params.Workers
@@ -739,7 +786,7 @@ func solveTensor(ctx context.Context, in *Instance, opts SolveOptions, tr *trace
 	nn := map[Algorithm]int{AlgorithmAS: opts.Params.NN, AlgorithmACS: opts.ACS.NN, AlgorithmMMAS: opts.MMAS.NN}
 	d, err := hostDerived(opts, in, nn[opts.Algorithm])
 	if err != nil {
-		return nil, err
+		return cell{}, err
 	}
 	var (
 		e    *tensor.Engine
@@ -749,7 +796,7 @@ func solveTensor(ctx context.Context, in *Instance, opts SolveOptions, tr *trace
 	switch opts.Algorithm {
 	case AlgorithmAS:
 		if e, err = tensor.NewWithDerived(in, opts.Params, d); err != nil {
-			return nil, err
+			return cell{}, err
 		}
 		step = func() { e.Iterate(v) }
 		if opts.LocalSearch {
@@ -758,22 +805,23 @@ func solveTensor(ctx context.Context, in *Instance, opts SolveOptions, tr *trace
 	case AlgorithmACS:
 		a, err := tensor.NewACSWithDerived(in, opts.ACS, d)
 		if err != nil {
-			return nil, err
+			return cell{}, err
 		}
 		e, step = a.Engine, a.Iterate
 	case AlgorithmMMAS:
 		m, err := tensor.NewMMASWithDerived(in, opts.MMAS, d)
 		if err != nil {
-			return nil, err
+			return cell{}, err
 		}
 		e, step = m.Engine, func() { m.Iterate(v) }
 	}
-	defer e.Close()
-	e.Tracer, e.Conv = tr, solveConv(opts, in)
+	e.Tracer = tr
 	start := time.Now()
-	if err := iterate(ctx, opts.Iterations, step); err != nil {
-		return nil, err
-	}
-	return &Result{BestTour: e.BestTour, BestLen: e.BestLen,
-		SimulatedSeconds: time.Since(start).Seconds(), Trace: tr}, nil
+	return cell{
+		step:    func() (*core.IterationResult, error) { step(); return nil, nil },
+		record:  e.Record,
+		best:    func() ([]int32, int64) { return e.BestTour, e.BestLen },
+		seconds: func() float64 { return time.Since(start).Seconds() },
+		close:   e.Close,
+	}, nil
 }

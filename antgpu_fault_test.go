@@ -3,6 +3,7 @@ package antgpu_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -156,5 +157,46 @@ func TestSolveFaultsRawOnOtherAlgorithms(t *testing.T) {
 	})
 	if !errors.Is(err, antgpu.ErrLaunchFailed) {
 		t.Fatalf("got %v, want ErrLaunchFailed", err)
+	}
+}
+
+// TestFaultedSolvesKeepBestInvariant: the GPU algorithms without the
+// fault-tolerant runtime, under an ECC and launch fault plan over many
+// seeds, either fail or return a permutation whose recomputed length is
+// BestLen — a fault never leaks out as a corrupt result.
+func TestFaultedSolvesKeepBestInvariant(t *testing.T) {
+	in, err := antgpu.LoadBenchmark("att48")
+	if err != nil {
+		t.Fatal(err)
+	}
+	algs := []antgpu.Algorithm{antgpu.AlgorithmACS, antgpu.AlgorithmMMAS, antgpu.AlgorithmEAS, antgpu.AlgorithmRank}
+	for _, alg := range algs {
+		failed, solved := 0, 0
+		for seed := 1; seed <= 20; seed++ {
+			plan, err := antgpu.ParseFaultSpec(fmt.Sprintf("launch=0.03,ecc=0.03,seed=%d", seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := antgpu.Solve(in, antgpu.SolveOptions{
+				Iterations: 4, Backend: antgpu.BackendGPU, Algorithm: alg, Faults: plan,
+			})
+			if err != nil {
+				if !errors.Is(err, antgpu.ErrLaunchFailed) && !errors.Is(err, antgpu.ErrECC) {
+					t.Errorf("%v seed %d: untyped error %v", alg, seed, err)
+				}
+				failed++
+				continue
+			}
+			solved++
+			if err := in.ValidTour(res.BestTour); err != nil {
+				t.Errorf("%v seed %d: best tour is not a permutation: %v", alg, seed, err)
+			} else if l := in.TourLength(res.BestTour); l != res.BestLen {
+				t.Errorf("%v seed %d: best tour has length %d, BestLen %d", alg, seed, l, res.BestLen)
+			}
+		}
+		t.Logf("%v: %d solves failed, %d solved", alg, failed, solved)
+		if failed == 0 || solved == 0 {
+			t.Errorf("%v: %d failed and %d solved; the plan should give both", alg, failed, solved)
+		}
 	}
 }

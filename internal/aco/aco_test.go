@@ -170,7 +170,10 @@ func TestIterationImprovesOverRandom(t *testing.T) {
 	c.ConstructTours(aco.FullProbabilistic)
 	first := c.BestLen
 	c.UpdatePheromone()
-	_, best := c.Run(aco.NNListConstruction, 10)
+	for i := 0; i < 10; i++ {
+		c.Iterate(aco.NNListConstruction)
+	}
+	best := c.BestLen
 	if best > first {
 		t.Errorf("best after 10 iterations (%d) worse than first batch (%d)", best, first)
 	}
@@ -183,7 +186,9 @@ func TestIterationImprovesOverRandom(t *testing.T) {
 
 func TestBestTourAlwaysValid(t *testing.T) {
 	c := newColony(t, "att48", aco.DefaultParams())
-	c.Run(aco.NNListConstruction, 5)
+	for i := 0; i < 5; i++ {
+		c.Iterate(aco.NNListConstruction)
+	}
 	if err := c.In.ValidTour(c.BestTour); err != nil {
 		t.Fatalf("best tour invalid: %v", err)
 	}
@@ -297,7 +302,9 @@ func TestPheromoneInvariantsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		c.Run(aco.NNListConstruction, 3)
+		for i := 0; i < 3; i++ {
+			c.Iterate(aco.NNListConstruction)
+		}
 		n := c.N()
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {

@@ -1,7 +1,6 @@
 package aco
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -66,11 +65,6 @@ type Colony struct {
 	// timeline; phase durations come from the stage meters through the
 	// reference CPU model (DefaultCPU).
 	Tracer *trace.Collector
-
-	// Conv, when non-nil, receives per-iteration convergence metrics
-	// (best/mean tour length, pheromone entropy, λ-branching). The O(n²)
-	// matrix statistics are computed only while a recorder is attached.
-	Conv *metrics.Convergence
 
 	// scratch
 	visited []bool
@@ -420,7 +414,6 @@ func (c *Colony) Iterate(v Variant) {
 	defer c.phase("iteration")()
 	c.ConstructTours(v)
 	c.UpdatePheromone()
-	c.recordConv()
 }
 
 // IterateWithLocalSearch is Iterate with 2-opt applied to every ant's tour
@@ -431,13 +424,14 @@ func (c *Colony) IterateWithLocalSearch(v Variant) {
 	c.ConstructTours(v)
 	c.LocalSearchTours(c.m)
 	c.UpdatePheromone()
-	c.recordConv()
 }
 
-// recordConv hands the finished iteration to the convergence recorder, if
-// one is attached.
-func (c *Colony) recordConv() {
-	if c.Conv == nil {
+// Record hands the latest iteration — its best and mean tour length, the
+// best-so-far and the trails — to the convergence recorder rec. A nil
+// recorder costs nothing: the O(n²) matrix statistics are computed only
+// when one is given.
+func (c *Colony) Record(rec *metrics.Convergence) {
+	if rec == nil {
 		return
 	}
 	best := int64(math.MaxInt64)
@@ -448,27 +442,7 @@ func (c *Colony) recordConv() {
 			best = l
 		}
 	}
-	c.Conv.RecordIteration(float64(best), float64(sum)/float64(c.m), c.BestLen)
-	c.Conv.RecordPheromone64(c.Pher, c.n)
-}
-
-// Run executes `iters` iterations and returns the best tour found and its
-// length.
-func (c *Colony) Run(v Variant, iters int) ([]int32, int64) {
-	tour, l, _ := c.RunContext(context.Background(), v, iters)
-	return tour, l
-}
-
-// RunContext is Run with cancellation: the context is checked between
-// iterations and its error returned promptly.
-func (c *Colony) RunContext(ctx context.Context, v Variant, iters int) ([]int32, int64, error) {
-	for i := 0; i < iters; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
-		c.Iterate(v)
-	}
-	return c.BestTour, c.BestLen, nil
+	rec.Record64(float64(best), float64(sum)/float64(c.m), c.BestLen, c.Pher, c.n)
 }
 
 func min(a, b int) int {

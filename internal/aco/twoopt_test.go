@@ -127,7 +127,9 @@ func TestColonyLocalSearchImprovesAnts(t *testing.T) {
 
 func TestASWithLocalSearchBeatsPlainAS(t *testing.T) {
 	plain := newColony(t, "kroC100", aco.DefaultParams())
-	plain.Run(aco.NNListConstruction, 10)
+	for i := 0; i < 10; i++ {
+		plain.Iterate(aco.NNListConstruction)
+	}
 
 	ls := newColony(t, "kroC100", aco.DefaultParams())
 	for i := 0; i < 10; i++ {

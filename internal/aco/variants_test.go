@@ -42,13 +42,19 @@ func TestEASConvergesFasterThanAS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, asBest := as.Run(aco.NNListConstruction, 15)
+	for i := 0; i < 15; i++ {
+		as.Iterate(aco.NNListConstruction)
+	}
+	asBest := as.BestLen
 
 	eas, err := aco.NewEASColony(in, aco.DefaultParams(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, easBest := eas.Run(aco.NNListConstruction, 15)
+	for i := 0; i < 15; i++ {
+		eas.Iterate(aco.NNListConstruction)
+	}
+	easBest := eas.BestLen
 	if err := in.ValidTour(eas.BestTour); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +142,10 @@ func TestRankASConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, best := r.Run(aco.NNListConstruction, 20)
+	for i := 0; i < 20; i++ {
+		r.Iterate(aco.NNListConstruction)
+	}
+	best := r.BestLen
 	if err := in.ValidTour(r.BestTour); err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +166,9 @@ func TestBranchingFactorDecreasesWithConvergence(t *testing.T) {
 	if start != float64(c.N()-1) {
 		t.Fatalf("uniform branching factor = %v, want %d", start, c.N()-1)
 	}
-	c.Run(aco.NNListConstruction, 15)
+	for i := 0; i < 15; i++ {
+		c.Iterate(aco.NNListConstruction)
+	}
 	after := c.BranchingFactor(0.05)
 	if after >= start/2 {
 		t.Errorf("branching factor should collapse as trails concentrate: %v -> %v", start, after)

@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"time"
 
+	"antgpu"
 	"antgpu/internal/aco"
-	"antgpu/internal/core"
 	"antgpu/internal/cuda"
-	"antgpu/internal/tsp"
 )
 
 // QualityTable checks the paper's side remark that the GPU implementations'
@@ -15,7 +14,8 @@ import (
 // it runs the CPU Ant System, the GPU Ant System (data-parallel and NN-list
 // construction), and the ACS/MMAS extensions for the same iteration budget
 // and reports each best tour as a ratio to the greedy nearest-neighbour
-// tour (lower is better; < 1 beats greedy).
+// tour (lower is better; < 1 beats greedy). Every row is a facade cell,
+// run through antgpu.Solve.
 func QualityTable(dev *cuda.Device, cfg Config, iterations int) (*Table, error) {
 	start := time.Now()
 	cfg = cfg.withDefaults()
@@ -32,91 +32,24 @@ func QualityTable(dev *cuda.Device, cfg Config, iterations int) (*Table, error) 
 		Instances: cfg.Instances,
 	}
 
-	type runner func(in *tsp.Instance) (int64, error)
+	// Each row is one facade cell on dev; Params seed the ACS and MMAS
+	// rows too, whose other parameters stay at their defaults.
+	gpu := func(alg antgpu.Algorithm, tv antgpu.TourVersion, ls bool) antgpu.SolveOptions {
+		return antgpu.SolveOptions{Backend: antgpu.BackendGPU, Device: dev, Algorithm: alg,
+			Tour: tv, LocalSearch: ls}
+	}
 	configs := []struct {
 		name string
-		run  runner
+		opts antgpu.SolveOptions
 	}{
-		{"AS, sequential CPU", func(in *tsp.Instance) (int64, error) {
-			c, err := aco.New(in, cfg.Params)
-			if err != nil {
-				return 0, err
-			}
-			_, l := c.Run(aco.NNListConstruction, iterations)
-			return l, nil
-		}},
-		{"AS, GPU data-parallel (v8)", func(in *tsp.Instance) (int64, error) {
-			e, err := core.NewEngine(dev, in, cfg.Params)
-			if err != nil {
-				return 0, err
-			}
-			defer e.Free()
-			_, l, _, err := e.Run(core.TourDataParallelTexture, core.PherAtomicShared, iterations)
-			return l, err
-		}},
-		{"AS, GPU NN-list (v6)", func(in *tsp.Instance) (int64, error) {
-			e, err := core.NewEngine(dev, in, cfg.Params)
-			if err != nil {
-				return 0, err
-			}
-			defer e.Free()
-			_, l, _, err := e.Run(core.TourNNSharedTexture, core.PherAtomicShared, iterations)
-			return l, err
-		}},
-		{"AS + 2-opt, GPU", func(in *tsp.Instance) (int64, error) {
-			e, err := core.NewEngine(dev, in, cfg.Params)
-			if err != nil {
-				return 0, err
-			}
-			defer e.Free()
-			for i := 0; i < iterations; i++ {
-				if _, err := e.IterateWithLocalSearch(core.TourNNList, core.PherAtomicShared); err != nil {
-					return 0, err
-				}
-			}
-			_, l := e.Best()
-			return l, nil
-		}},
-		{"EAS, GPU", func(in *tsp.Instance) (int64, error) {
-			e, err := core.NewEASEngine(dev, in, cfg.Params, 0)
-			if err != nil {
-				return 0, err
-			}
-			defer e.Free()
-			_, l, _, err := e.Run(iterations)
-			return l, err
-		}},
-		{"ASrank, GPU", func(in *tsp.Instance) (int64, error) {
-			r, err := core.NewRankEngine(dev, in, cfg.Params, 0)
-			if err != nil {
-				return 0, err
-			}
-			defer r.Free()
-			_, l, _, err := r.Run(iterations)
-			return l, err
-		}},
-		{"ACS, GPU", func(in *tsp.Instance) (int64, error) {
-			p := aco.DefaultACSParams()
-			p.Seed = cfg.Params.Seed
-			a, err := core.NewACSEngine(dev, in, p)
-			if err != nil {
-				return 0, err
-			}
-			defer a.Free()
-			_, l, _, err := a.Run(iterations)
-			return l, err
-		}},
-		{"MMAS, GPU", func(in *tsp.Instance) (int64, error) {
-			p := aco.DefaultMMASParams()
-			p.Seed = cfg.Params.Seed
-			m, err := core.NewMMASEngine(dev, in, p)
-			if err != nil {
-				return 0, err
-			}
-			defer m.Free()
-			_, l, _, err := m.Run(iterations)
-			return l, err
-		}},
+		{"AS, sequential CPU", antgpu.SolveOptions{Variant: aco.NNListConstruction}},
+		{"AS, GPU data-parallel (v8)", gpu(antgpu.AlgorithmAS, antgpu.TourDataParallelTexture, false)},
+		{"AS, GPU NN-list (v6)", gpu(antgpu.AlgorithmAS, antgpu.TourNNSharedTexture, false)},
+		{"AS + 2-opt, GPU", gpu(antgpu.AlgorithmAS, antgpu.TourNNList, true)},
+		{"EAS, GPU", gpu(antgpu.AlgorithmEAS, 0, false)},
+		{"ASrank, GPU", gpu(antgpu.AlgorithmRank, 0, false)},
+		{"ACS, GPU", gpu(antgpu.AlgorithmACS, 0, false)},
+		{"MMAS, GPU", gpu(antgpu.AlgorithmMMAS, 0, false)},
 	}
 
 	greedy := make([]float64, len(instances))
@@ -127,11 +60,13 @@ func QualityTable(dev *cuda.Device, cfg Config, iterations int) (*Table, error) 
 	for _, c := range configs {
 		vals := make([]float64, len(instances))
 		for i, in := range instances {
-			l, err := c.run(in)
+			opts := c.opts
+			opts.Params, opts.Iterations = cfg.Params, iterations
+			res, err := antgpu.Solve(in, opts)
 			if err != nil {
 				return nil, fmt.Errorf("%s on %s: %w", c.name, in.Name, err)
 			}
-			vals[i] = float64(l) / greedy[i]
+			vals[i] = float64(res.BestLen) / greedy[i]
 		}
 		t.AddRow(c.name, vals)
 	}

@@ -206,8 +206,10 @@ func tensorRows(in *tsp.Instance, label string, ants int, cfg TensorConfig) ([]T
 	cpuWall, cpuBest := minWall(func() (time.Duration, int64) {
 		c, _ := aco.New(in, p)
 		start := time.Now()
-		_, best := c.Run(aco.NNListConstruction, cfg.Iterations)
-		return time.Since(start), best
+		for i := 0; i < cfg.Iterations; i++ {
+			c.Iterate(aco.NNListConstruction)
+		}
+		return time.Since(start), c.BestLen
 	})
 	base.CPUWallMs = float64(cpuWall.Nanoseconds()) / 1e6
 	base.CPUNsPerAntStep = float64(cpuWall.Nanoseconds()) / antSteps
@@ -226,7 +228,9 @@ func tensorRows(in *tsp.Instance, label string, ants int, cfg TensorConfig) ([]T
 				return minMeasureWall, 0 // stop repeating; the error surfaces below
 			}
 			start := time.Now()
-			_, _, _, err = g.Run(tv, core.PherAtomicShared, cfg.Iterations)
+			for i := 0; i < cfg.Iterations && err == nil; i++ {
+				_, err = g.Iterate(tv, core.PherAtomicShared)
+			}
 			w := time.Since(start)
 			g.Free()
 			if err != nil {
@@ -254,8 +258,10 @@ func tensorRows(in *tsp.Instance, label string, ants int, cfg TensorConfig) ([]T
 			e, _ := tensor.New(in, pw)
 			defer e.Close()
 			start := time.Now()
-			_, best := e.Run(aco.NNListConstruction, cfg.Iterations)
-			return time.Since(start), best
+			for i := 0; i < cfg.Iterations; i++ {
+				e.Iterate(aco.NNListConstruction)
+			}
+			return time.Since(start), e.BestLen
 		})
 
 		row := base

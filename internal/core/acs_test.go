@@ -77,10 +77,15 @@ func TestACSEngineGlobalUpdateRequiresBest(t *testing.T) {
 func TestACSEngineRunConvergesAndIsDeterministic(t *testing.T) {
 	run := func() (int64, float64) {
 		a := newACSEngine(t, cuda.TeslaM2050(), "kroC100")
-		tour, l, secs, err := a.Run(10)
-		if err != nil {
-			t.Fatal(err)
+		secs := 0.0
+		for i := 0; i < 10; i++ {
+			res, err := a.Iterate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			secs += res.Construct.Seconds() + res.Update.Seconds()
 		}
+		tour, l := a.Best()
 		if err := a.In.ValidTour(tour); err != nil {
 			t.Fatal(err)
 		}
@@ -113,13 +118,15 @@ func TestACSEngineMatchesCPUQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cpuBest := cpu.Run(15)
-
 	gpu := newACSEngine(t, cuda.TeslaM2050(), "att48")
-	_, gpuBest, _, err := gpu.Run(15)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 15; i++ {
+		cpu.Iterate()
+		if _, err := gpu.Iterate(); err != nil {
+			t.Fatal(err)
+		}
 	}
+	cpuBest := cpu.BestLen
+	_, gpuBest := gpu.Best()
 	lo, hi := cpuBest, gpuBest
 	if lo > hi {
 		lo, hi = hi, lo

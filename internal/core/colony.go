@@ -1,9 +1,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
+
+	"antgpu/internal/metrics"
 )
 
 // ConstructTours runs one tour-construction stage with the selected
@@ -72,7 +73,7 @@ func (e *Engine) ReadBest() (int, int64, error) {
 			bestAnt, bestLen = k, l
 		}
 	}
-	e.lastMean = float64(sum) / float64(e.m)
+	e.lastBest, e.lastMean = bestLen, float64(sum)/float64(e.m)
 	if bestLen < e.bestLen {
 		e.bestLen = bestLen
 		if e.bestTour == nil {
@@ -119,39 +120,15 @@ func (e *Engine) Iterate(tv TourVersion, pv PherVersion) (*IterationResult, erro
 	if err != nil {
 		return nil, err
 	}
-	e.recordConv(l)
 	return &IterationResult{Construct: construct, Update: update, BestAnt: ant, BestLen: l}, nil
 }
 
-// recordConv hands the finished iteration, whose best ant scored l, to the
-// convergence recorder, if one is attached.
-func (e *Engine) recordConv(l int64) {
-	if e.conv != nil {
-		e.conv.RecordIteration(float64(l), e.lastMean, e.bestLen)
-		e.conv.RecordPheromone32(e.pher.Data(), e.n)
+// Record hands the latest iteration — the iteration best and mean of the
+// last ReadBest, the best-so-far and the device trails — to the
+// convergence recorder rec. A nil recorder costs nothing: the O(n²) matrix
+// statistics are computed only when one is given.
+func (e *Engine) Record(rec *metrics.Convergence) {
+	if rec != nil {
+		rec.Record32(float64(e.lastBest), e.lastMean, e.bestLen, e.pher.Data(), e.n)
 	}
-}
-
-// Run executes iters full iterations and returns the best tour found, its
-// length, and the accumulated simulated GPU seconds.
-func (e *Engine) Run(tv TourVersion, pv PherVersion, iters int) ([]int32, int64, float64, error) {
-	return e.RunContext(context.Background(), tv, pv, iters)
-}
-
-// RunContext is Run with cancellation: the context is checked between
-// iterations and its error returned promptly.
-func (e *Engine) RunContext(ctx context.Context, tv TourVersion, pv PherVersion, iters int) ([]int32, int64, float64, error) {
-	total := 0.0
-	for i := 0; i < iters; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, 0, err
-		}
-		res, err := e.Iterate(tv, pv)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		total += res.Construct.Seconds() + res.Update.Seconds()
-	}
-	tour, l := e.Best()
-	return tour, l, total, nil
 }

@@ -71,10 +71,15 @@ func TestMMASEngineDeterministicAndConverging(t *testing.T) {
 	run := func() (int64, float64) {
 		m := newMMASEngine(t, cuda.TeslaM2050(), "kroC100")
 		m.SetTourVersion(core.TourDataParallel)
-		_, l, secs, err := m.Run(30)
-		if err != nil {
-			t.Fatal(err)
+		secs := 0.0
+		for i := 0; i < 30; i++ {
+			res, err := m.Iterate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			secs += res.Construct.Seconds() + res.Update.Seconds()
 		}
+		_, l := m.Best()
 		return l, secs
 	}
 	l1, s1 := run()

@@ -447,6 +447,5 @@ func (e *Engine) IterateWithLocalSearch(tv TourVersion, pv PherVersion) (*Iterat
 	if err != nil {
 		return nil, err
 	}
-	e.recordConv(l)
 	return &IterationResult{Construct: construct, Update: update, BestAnt: ant, BestLen: l}, nil
 }

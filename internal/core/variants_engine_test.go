@@ -18,10 +18,15 @@ func TestEASEngineConvergesAndValid(t *testing.T) {
 	if e.Elite != 48 {
 		t.Errorf("default elite = %v, want m = 48", e.Elite)
 	}
-	tour, l, secs, err := e.Run(8)
-	if err != nil {
-		t.Fatal(err)
+	secs := 0.0
+	for i := 0; i < 8; i++ {
+		res, err := e.Iterate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		secs += res.Construct.Seconds() + res.Update.Seconds()
 	}
+	tour, l := e.Best()
 	if err := in.ValidTour(tour); err != nil {
 		t.Fatal(err)
 	}
@@ -81,10 +86,12 @@ func TestRankEngineConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.SetTourVersion(core.TourDataParallel)
-	tour, l, _, err := r.Run(10)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 10; i++ {
+		if _, err := r.Iterate(); err != nil {
+			t.Fatal(err)
+		}
 	}
+	tour, l := r.Best()
 	if err := in.ValidTour(tour); err != nil {
 		t.Fatal(err)
 	}

@@ -19,8 +19,11 @@ func randomKernelMeters(t *testing.T, seed uint64, blocks, threads int) cuda.Met
 	buf := cuda.MallocF32("f", 1<<14)
 	ibuf := cuda.MallocI32("i", 1<<14)
 	tex := cuda.BindTexture(buf)
+	// The blocks store into buf and read it back (plain and through the
+	// texture), so they run one after another: executed concurrently they
+	// would race on buf's words. The meters do not depend on block order.
 	res, err := cuda.Launch(dev, cuda.LaunchConfig{
-		Grid: cuda.D1(blocks), Block: cuda.D1(threads),
+		Grid: cuda.D1(blocks), Block: cuda.D1(threads), SerialBlocks: true,
 	}, "fuzz", func(b *cuda.Block) {
 		sh := b.SharedF32(threads)
 		g := rng.Seed(seed, uint64(b.LinearIdx()))

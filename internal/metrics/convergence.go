@@ -61,16 +61,10 @@ type Convergence struct {
 	lambda   Gauge
 	optimum  float64
 
-	// sink receives one IterationEvent per iteration. The producers call
-	// RecordIteration then RecordPheromone back to back, so the event is
-	// buffered at RecordIteration and emitted once the pheromone statistics
-	// complete it (or at the next RecordIteration when a producer skips the
-	// pheromone record). Calls are serial within one solve; the recorder
-	// itself needs no locking.
-	sink       func(IterationEvent)
-	iter       int
-	pending    IterationEvent
-	hasPending bool
+	// sink receives one IterationEvent per iteration. Calls are serial
+	// within one solve; the recorder itself needs no locking.
+	sink func(IterationEvent)
+	iter int
 }
 
 // NewConvergence returns a recorder writing to reg with the given series
@@ -123,12 +117,26 @@ func newConvergence(reg *Registry, instance, algorithm, backend string, optimum 
 	return c
 }
 
-// RecordIteration publishes one iteration's solution-quality metrics:
-// the iteration's best and mean tour length and the best-so-far.
-func (c *Convergence) RecordIteration(iterBest, iterMean float64, bestSoFar int64) {
+// Record64 publishes one iteration: its best and mean tour length, the
+// best-so-far, and the stagnation statistics of the n×n float64 pheromone
+// matrix (the CPU colony's trails).
+func (c *Convergence) Record64(iterBest, iterMean float64, bestSoFar int64, pher []float64, n int) {
 	if c == nil {
 		return
 	}
+	c.record(iterBest, iterMean, bestSoFar, Entropy64(pher, n), LambdaBranching64(pher, n))
+}
+
+// Record32 is Record64 over n×n float32 trails (the device and tensor
+// engines').
+func (c *Convergence) Record32(iterBest, iterMean float64, bestSoFar int64, pher []float32, n int) {
+	if c == nil {
+		return
+	}
+	c.record(iterBest, iterMean, bestSoFar, Entropy32(pher, n), LambdaBranching32(pher, n))
+}
+
+func (c *Convergence) record(iterBest, iterMean float64, bestSoFar int64, entropy, lambda float64) {
 	c.iters.Inc()
 	c.iterBest.Set(iterBest)
 	c.iterMean.Set(iterMean)
@@ -138,58 +146,14 @@ func (c *Convergence) RecordIteration(iterBest, iterMean float64, bestSoFar int6
 		gap = float64(bestSoFar)/c.optimum - 1
 		c.gap.Set(gap)
 	}
-	if c.sink != nil {
-		c.flush()
-		c.iter++
-		c.pending = IterationEvent{
-			Iteration: c.iter, Best: iterBest, Mean: iterMean,
-			BestSoFar: bestSoFar, Gap: gap,
-		}
-		c.hasPending = true
-	}
-}
-
-// RecordPheromone64 publishes the stagnation statistics of an n×n float64
-// pheromone matrix (the CPU colony's trails).
-func (c *Convergence) RecordPheromone64(pher []float64, n int) {
-	if c == nil {
-		return
-	}
-	c.recordPheromone(Entropy64(pher, n), LambdaBranching64(pher, n))
-}
-
-// RecordPheromone32 publishes the stagnation statistics of an n×n float32
-// pheromone matrix (the device trails).
-func (c *Convergence) RecordPheromone32(pher []float32, n int) {
-	if c == nil {
-		return
-	}
-	c.recordPheromone(Entropy32(pher, n), LambdaBranching32(pher, n))
-}
-
-func (c *Convergence) recordPheromone(entropy, lambda float64) {
 	c.entropy.Set(entropy)
 	c.lambda.Set(lambda)
-	if c.sink != nil && c.hasPending {
-		c.pending.Entropy, c.pending.Lambda = entropy, lambda
-		c.flush()
-	}
-}
-
-// Flush emits a buffered iteration event that was not completed by a
-// pheromone record. Both engine producers pair the two record calls, so
-// this only matters for producers that record iterations alone; it is safe
-// to call at any time, including on a nil recorder.
-func (c *Convergence) Flush() {
-	if c != nil {
-		c.flush()
-	}
-}
-
-func (c *Convergence) flush() {
-	if c.hasPending {
-		c.hasPending = false
-		c.sink(c.pending)
+	if c.sink != nil {
+		c.iter++
+		c.sink(IterationEvent{
+			Iteration: c.iter, Best: iterBest, Mean: iterMean, BestSoFar: bestSoFar,
+			Gap: gap, Entropy: entropy, Lambda: lambda,
+		})
 	}
 }
 

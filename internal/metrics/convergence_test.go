@@ -124,8 +124,7 @@ func TestStagnationMonotonicity(t *testing.T) {
 func TestConvergenceRecorder(t *testing.T) {
 	r := New()
 	c := NewConvergence(r, "att48", "as", "gpu", 10000)
-	c.RecordIteration(11000, 11500.5, 10500)
-	c.RecordPheromone64(uniform(4, 0.5), 4)
+	c.Record64(11000, 11500.5, 10500, uniform(4, 0.5), 4)
 
 	snap := r.Snapshot()
 	check := func(name string, want float64) {
@@ -158,24 +157,22 @@ func TestConvergenceRecorderDisabled(t *testing.T) {
 		t.Fatal("nil registry must return a nil recorder")
 	}
 	var c *Convergence
-	c.RecordIteration(1, 2, 3) // must not panic
-	c.RecordPheromone64(uniform(4, 1), 4)
-	c.RecordPheromone32(make([]float32, 16), 4)
+	c.Record64(1, 2, 3, uniform(4, 1), 4) // must not panic
+	c.Record32(1, 2, 3, make([]float32, 16), 4)
 }
 
 func TestConvergenceNoGapWithoutOptimum(t *testing.T) {
 	r := New()
 	c := NewConvergence(r, "x", "as", "cpu", 0)
-	c.RecordIteration(100, 110, 95)
+	c.Record64(100, 110, 95, uniform(4, 1), 4)
 	if f := r.Snapshot().Family("antgpu_optimum_gap_ratio"); f != nil {
 		t.Fatal("gap gauge exists without a known optimum")
 	}
 }
 
 // TestConvergenceSinkEmitsOrderedEvents: a recorder with a sink delivers
-// one complete IterationEvent per RecordIteration/RecordPheromone pair, in
-// iteration order, with the pheromone statistics folded into the event of
-// the iteration they follow.
+// one complete IterationEvent per Record call, in iteration order, with
+// the pheromone statistics folded into the event of their iteration.
 func TestConvergenceSinkEmitsOrderedEvents(t *testing.T) {
 	var events []IterationEvent
 	c := NewConvergenceWithSink(nil, "att48", "as", "cpu", 10000,
@@ -184,10 +181,8 @@ func TestConvergenceSinkEmitsOrderedEvents(t *testing.T) {
 		t.Fatal("sink-only recorder (nil registry) must be enabled")
 	}
 
-	c.RecordIteration(11000, 11500, 10500)
-	c.RecordPheromone64(uniform(4, 0.5), 4)
-	c.RecordIteration(10800, 11100, 10400)
-	c.RecordPheromone64(uniform(4, 0.25), 4)
+	c.Record64(11000, 11500, 10500, uniform(4, 0.5), 4)
+	c.Record64(10800, 11100, 10400, uniform(4, 0.25), 4)
 
 	if len(events) != 2 {
 		t.Fatalf("got %d events, want 2", len(events))
@@ -210,17 +205,6 @@ func TestConvergenceSinkEmitsOrderedEvents(t *testing.T) {
 	}
 	if first.Lambda != 3 {
 		t.Errorf("event 1 lambda = %v, want 3", first.Lambda)
-	}
-
-	// An unpaired iteration is flushed by the next one (or Flush).
-	c.RecordIteration(10700, 11000, 10300)
-	c.RecordIteration(10600, 10900, 10200)
-	c.Flush()
-	if len(events) != 4 {
-		t.Fatalf("got %d events after unpaired iterations, want 4", len(events))
-	}
-	if events[2].Iteration != 3 || events[3].Iteration != 4 {
-		t.Errorf("flushed events out of order: %+v", events[2:])
 	}
 
 	// NewConvergenceWithSink with a nil sink and nil registry stays disabled.

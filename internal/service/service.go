@@ -175,8 +175,8 @@ type JobResult struct {
 	BestLen          int64   `json:"best_len"`
 	BestTour         []int32 `json:"best_tour,omitempty"`
 	SimulatedSeconds float64 `json:"simulated_seconds"`
-	// Iterations counts the convergence events observed (0 for algorithms
-	// that do not produce the feed).
+	// Iterations counts the convergence events observed, one per
+	// completed iteration.
 	Iterations int `json:"iterations"`
 }
 

@@ -47,7 +47,6 @@
 package tensor
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -83,9 +82,6 @@ type Engine struct {
 	tau0      float64
 	cnn       int64 // greedy NN tour length (variant τ0 / τmax derivations)
 
-	// Conv, when non-nil, receives per-iteration convergence metrics —
-	// the same sink the colony and the GPU engine feed.
-	Conv *metrics.Convergence
 	// Tracer, when non-nil, records construct/update phases. The tensor
 	// engine is a real host engine, so spans carry wall-clock seconds.
 	Tracer *trace.Collector
@@ -325,9 +321,31 @@ func (e *Engine) applyUpdate() {
 	e.refreshNN()
 }
 
-// recordIteration feeds the convergence sink exactly like the colony does.
-func (e *Engine) recordIteration() {
-	if e.Conv == nil {
+// Iterate runs one full Ant System iteration.
+func (e *Engine) Iterate(v aco.Variant) {
+	if e.Tracer != nil {
+		e.Tracer.Begin("iteration")
+		defer e.Tracer.End()
+	}
+	e.ConstructTours(v)
+	e.UpdatePheromone()
+}
+
+// IterateWithLocalSearch is Iterate with the vectorised 2-opt pass applied
+// to every ant's tour between construction and the pheromone update — the
+// AS + local-search configuration of ACOTSP.
+func (e *Engine) IterateWithLocalSearch(v aco.Variant) {
+	e.ConstructTours(v)
+	e.LocalSearchTours()
+	e.UpdatePheromone()
+}
+
+// Record hands the latest iteration — its best and mean tour length, the
+// best-so-far and the trails — to the convergence recorder rec, exactly
+// like the colony does. A nil recorder costs nothing: the O(n²) matrix
+// statistics are computed only when one is given.
+func (e *Engine) Record(rec *metrics.Convergence) {
+	if rec == nil {
 		return
 	}
 	best := int64(math.MaxInt64)
@@ -338,48 +356,7 @@ func (e *Engine) recordIteration() {
 			best = l
 		}
 	}
-	e.Conv.RecordIteration(float64(best), float64(sum)/float64(e.m), e.BestLen)
-	e.Conv.RecordPheromone32(e.tau, e.n)
-}
-
-// Iterate runs one full Ant System iteration.
-func (e *Engine) Iterate(v aco.Variant) {
-	if e.Tracer != nil {
-		e.Tracer.Begin("iteration")
-		defer e.Tracer.End()
-	}
-	e.ConstructTours(v)
-	e.UpdatePheromone()
-	e.recordIteration()
-}
-
-// IterateWithLocalSearch is Iterate with the vectorised 2-opt pass applied
-// to every ant's tour between construction and the pheromone update — the
-// AS + local-search configuration of ACOTSP.
-func (e *Engine) IterateWithLocalSearch(v aco.Variant) {
-	e.ConstructTours(v)
-	e.LocalSearchTours()
-	e.UpdatePheromone()
-	e.recordIteration()
-}
-
-// Run executes iters iterations and returns the best tour found and its
-// length.
-func (e *Engine) Run(v aco.Variant, iters int) ([]int32, int64) {
-	tour, l, _ := e.RunContext(context.Background(), v, iters)
-	return tour, l
-}
-
-// RunContext is Run with cancellation: the context is checked between
-// iterations and its error returned promptly.
-func (e *Engine) RunContext(ctx context.Context, v aco.Variant, iters int) ([]int32, int64, error) {
-	for i := 0; i < iters; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
-		e.Iterate(v)
-	}
-	return e.BestTour, e.BestLen, nil
+	rec.Record32(float64(best), float64(sum)/float64(e.m), e.BestLen, e.tau, e.n)
 }
 
 // Checkpoint is a restartable snapshot of the engine's evolving state: the

@@ -82,12 +82,12 @@ func TestWorkerCountInvarianceAS(t *testing.T) {
 		if e.Workers() != workers {
 			t.Fatalf("resolved %d workers, requested %d", e.Workers(), workers)
 		}
-		e.Conv = metrics.NewConvergenceWithSink(nil, "att48", "as", "tensor", 0,
+		conv := metrics.NewConvergenceWithSink(nil, "att48", "as", "tensor", 0,
 			func(ev metrics.IterationEvent) { events = append(events, ev) })
 		for i := 0; i < 6; i++ {
 			e.IterateWithLocalSearch(aco.NNListConstruction)
+			e.Record(conv)
 		}
-		e.Conv.Flush()
 		return snapshot(e, events)
 	}
 
@@ -113,12 +113,12 @@ func TestWorkerCountInvarianceMMAS(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer m.Close()
-		m.Conv = metrics.NewConvergenceWithSink(nil, "att48", "mmas", "tensor", 0,
+		conv := metrics.NewConvergenceWithSink(nil, "att48", "mmas", "tensor", 0,
 			func(ev metrics.IterationEvent) { events = append(events, ev) })
 		for i := 0; i < 6; i++ {
 			m.Iterate(aco.NNListConstruction)
+			m.Record(conv)
 		}
-		m.Conv.Flush()
 		return snapshot(m.Engine, events)
 	}
 
@@ -145,12 +145,12 @@ func TestWorkerCountInvarianceACS(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer a.Close()
-		a.Conv = metrics.NewConvergenceWithSink(nil, "att48", "acs", "tensor", 0,
+		conv := metrics.NewConvergenceWithSink(nil, "att48", "acs", "tensor", 0,
 			func(ev metrics.IterationEvent) { events = append(events, ev) })
 		for i := 0; i < 6; i++ {
 			a.Iterate()
+			a.Record(conv)
 		}
-		a.Conv.Flush()
 		return snapshot(a.Engine, events)
 	}
 

@@ -158,9 +158,13 @@ func engineTrace(t *testing.T) (*trace.Collector, float64) {
 	}
 	tr := trace.NewCollector()
 	e.SetTracer(tr)
-	_, _, secs, err := e.Run(core.TourDataParallel, core.PherAtomicShared, 2)
-	if err != nil {
-		t.Fatal(err)
+	secs := 0.0
+	for i := 0; i < 2; i++ {
+		res, err := e.Iterate(core.TourDataParallel, core.PherAtomicShared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		secs += res.Construct.Seconds() + res.Update.Seconds()
 	}
 	return tr, secs
 }

@@ -21,7 +21,6 @@ type solveCell struct {
 	algorithm antgpu.Algorithm
 	ls        bool // SolveOptions.LocalSearch
 	recovery  bool // SolveOptions.Recovery set (fault-tolerant runtime)
-	events    bool // the cell delivers OnIteration events
 }
 
 func (c solveCell) String() string {
@@ -53,23 +52,23 @@ const solveCellIters = 3
 
 // supportedCells is every cell SolveContext implements.
 var supportedCells = []solveCell{
-	{backend: antgpu.BackendCPU, algorithm: antgpu.AlgorithmAS, events: true},
-	{backend: antgpu.BackendCPU, algorithm: antgpu.AlgorithmAS, ls: true, events: true},
+	{backend: antgpu.BackendCPU, algorithm: antgpu.AlgorithmAS},
+	{backend: antgpu.BackendCPU, algorithm: antgpu.AlgorithmAS, ls: true},
 	{backend: antgpu.BackendCPU, algorithm: antgpu.AlgorithmACS},
 	{backend: antgpu.BackendCPU, algorithm: antgpu.AlgorithmMMAS},
 	{backend: antgpu.BackendCPU, algorithm: antgpu.AlgorithmEAS},
 	{backend: antgpu.BackendCPU, algorithm: antgpu.AlgorithmRank},
-	{backend: antgpu.BackendGPU, algorithm: antgpu.AlgorithmAS, events: true},
-	{backend: antgpu.BackendGPU, algorithm: antgpu.AlgorithmAS, ls: true, events: true},
-	{backend: antgpu.BackendGPU, algorithm: antgpu.AlgorithmAS, recovery: true, events: true},
+	{backend: antgpu.BackendGPU, algorithm: antgpu.AlgorithmAS},
+	{backend: antgpu.BackendGPU, algorithm: antgpu.AlgorithmAS, ls: true},
+	{backend: antgpu.BackendGPU, algorithm: antgpu.AlgorithmAS, recovery: true},
 	{backend: antgpu.BackendGPU, algorithm: antgpu.AlgorithmACS},
 	{backend: antgpu.BackendGPU, algorithm: antgpu.AlgorithmMMAS},
 	{backend: antgpu.BackendGPU, algorithm: antgpu.AlgorithmEAS},
 	{backend: antgpu.BackendGPU, algorithm: antgpu.AlgorithmRank},
-	{backend: antgpu.BackendTensor, algorithm: antgpu.AlgorithmAS, events: true},
-	{backend: antgpu.BackendTensor, algorithm: antgpu.AlgorithmAS, ls: true, events: true},
-	{backend: antgpu.BackendTensor, algorithm: antgpu.AlgorithmACS, events: true},
-	{backend: antgpu.BackendTensor, algorithm: antgpu.AlgorithmMMAS, events: true},
+	{backend: antgpu.BackendTensor, algorithm: antgpu.AlgorithmAS},
+	{backend: antgpu.BackendTensor, algorithm: antgpu.AlgorithmAS, ls: true},
+	{backend: antgpu.BackendTensor, algorithm: antgpu.AlgorithmACS},
+	{backend: antgpu.BackendTensor, algorithm: antgpu.AlgorithmMMAS},
 }
 
 // unsupportedCells must fail instead of running with a setting dropped.
@@ -151,12 +150,8 @@ func TestSolveCells(t *testing.T) {
 			t.Errorf("%v: OnIteration changed the result:\n  off %s\n  on  %s",
 				c, lines[i], solveCellLine(c, fed))
 		}
-		want := 0
-		if c.events {
-			want = solveCellIters
-		}
-		if len(events) != want {
-			t.Errorf("%v: %d OnIteration events, want %d", c, len(events), want)
+		if len(events) != solveCellIters {
+			t.Errorf("%v: %d OnIteration events, want %d", c, len(events), solveCellIters)
 		}
 		for k, ev := range events {
 			if ev.Iteration != k+1 {
@@ -218,44 +213,46 @@ func TestCPUSimulatedSecondsMetered(t *testing.T) {
 	direct := map[antgpu.Algorithm]func() (*aco.Colony, func(), error){
 		antgpu.AlgorithmAS: func() (*aco.Colony, func(), error) {
 			c, err := aco.New(in, p)
-			return c, func() { c.Run(v, iters) }, err
+			return c, func() { c.Iterate(v) }, err
 		},
 		antgpu.AlgorithmACS: func() (*aco.Colony, func(), error) {
 			a, err := aco.NewACSColony(in, aco.ACSParams{}.WithDefaults(seed))
 			if err != nil {
 				return nil, nil, err
 			}
-			return a.Colony, func() { a.Run(iters) }, nil
+			return a.Colony, a.Iterate, nil
 		},
 		antgpu.AlgorithmMMAS: func() (*aco.Colony, func(), error) {
 			m, err := aco.NewMMASColony(in, aco.MMASParams{}.WithDefaults(seed))
 			if err != nil {
 				return nil, nil, err
 			}
-			return m.Colony, func() { m.Run(v, iters) }, nil
+			return m.Colony, func() { m.Iterate(v) }, nil
 		},
 		antgpu.AlgorithmEAS: func() (*aco.Colony, func(), error) {
 			e, err := aco.NewEASColony(in, p, 0)
 			if err != nil {
 				return nil, nil, err
 			}
-			return e.Colony, func() { e.Run(v, iters) }, nil
+			return e.Colony, func() { e.Iterate(v) }, nil
 		},
 		antgpu.AlgorithmRank: func() (*aco.Colony, func(), error) {
 			r, err := aco.NewRankColony(in, p, 0)
 			if err != nil {
 				return nil, nil, err
 			}
-			return r.Colony, func() { r.Run(v, iters) }, nil
+			return r.Colony, func() { r.Iterate(v) }, nil
 		},
 	}
 	for alg, build := range direct {
-		c, run, err := build()
+		c, step, err := build()
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
 		c.ResetMeters()
-		run()
+		for i := 0; i < iters; i++ {
+			step()
+		}
 		total := c.ConstructMeter
 		total.Add(&c.PheromoneMeter)
 		total.Add(&c.ChoiceMeter)
