@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"antgpu/internal/cuda"
 	"antgpu/internal/rng"
@@ -23,6 +24,22 @@ func (e *Engine) dataBlockThreads() int {
 		t = e.Dev.MaxThreadsPerBlock
 	}
 	return t
+}
+
+// tileValues is the data-parallel tile phase of one warp's in-lanes: lane
+// l draws its next random number r and sets vals[l] = w[l]·r·bit + (bit−1),
+// bit being its city's unvisited bit for this tile, and idxs[l] = jbase+l.
+// The + (bit−1) term sinks visited lanes to −1 so the max reduction can
+// never crown a tabu city when every unvisited value underflows to zero;
+// for bit = 1 it adds +0.0 and leaves the value bit-identical.
+func tileValues(vals []float32, idxs []int32, w []float32, states []uint64, tabu []int32, tile uint, jbase int32) {
+	idxs, w, states, tabu = idxs[:len(vals)], w[:len(vals)], states[:len(vals)], tabu[:len(vals)]
+	for l := range vals {
+		r := rng.NextF32Raw(states, l) + 1e-6
+		bit := float32((tabu[l] >> (tile & 31)) & 1)
+		vals[l] = w[l]*r*bit + (bit - 1)
+		idxs[l] = jbase + int32(l)
+	}
 }
 
 // tourDataParallel launches the paper's data-parallel tour construction
@@ -76,6 +93,10 @@ func (e *Engine) tourDataParallel(v TourVersion) (*cuda.LaunchResult, error) {
 
 		tabu := make([]int32, threads)
 		states := make([]uint64, threads)
+		// Lane registers of the tile phase, shared by its warps: each
+		// warp writes every lane it then reads.
+		var wv, valsV [32]float32
+		var idxV [32]int32
 		cur := 0
 		lenAcc := float32(0)
 
@@ -126,45 +147,39 @@ func (e *Engine) tourDataParallel(v TourVersion) (*cuda.LaunchResult, error) {
 				// out-lanes issue their two shared stores one position
 				// earlier, so the middle position merges in-lane vals[] and
 				// out-lane idxs[] stores into one instruction (the scalar
-				// path's positional retirement does the same merge).
+				// path's positional retirement does the same merge). A warp
+				// with no in-lane issues only those two stores.
 				b.RunWarps(func(w *cuda.Warp) {
 					jbase := tile*threads + w.Base()
 					inMask := w.MaskTo(n - jbase)
 					outMask := w.Mask() &^ inMask
-					var wv, valsV [32]float32
-					var idxV [32]int32
-					if inMask != 0 {
-						if choiceTex != nil {
-							w.TexF32Masked(choiceTex, cur*n+jbase, inMask, wv[:])
-						} else {
-							w.LdF32Masked(e.choice, cur*n+jbase, inMask, wv[:])
-						}
+					if inMask == 0 {
+						w.StShF32I32Fill(vals, -1, idxs, int32(jbase), w.Base(), outMask)
+						return
 					}
-					for l := 0; l < w.Active(); l++ {
-						tid := w.Base() + l
-						if inMask&(1<<uint(l)) != 0 {
-							r := rng.NextF32Raw(states, tid) + 1e-6
-							tb := float32((tabu[tid] >> uint(tile)) & 1)
-							// + (tb-1) sinks visited lanes to -1 so the max
-							// reduction can never crown a tabu city when every
-							// unvisited value underflows to zero; for tb = 1
-							// it adds +0.0 and leaves the value bit-identical.
-							valsV[l] = wv[l]*r*tb + (tb - 1)
-						} else {
-							valsV[l] = -1
-						}
+					if choiceTex != nil {
+						w.TexF32Masked(choiceTex, cur*n+jbase, inMask, wv[:])
+					} else {
+						w.LdF32Masked(e.choice, cur*n+jbase, inMask, wv[:])
+					}
+					// In-lanes form a prefix of the warp.
+					in := bits.OnesCount32(inMask)
+					tileValues(valsV[:in], idxV[:in], wv[:in], states[w.Base():w.Base()+in],
+						tabu[w.Base():w.Base()+in], uint(tile), int32(jbase))
+					for l := in; l < w.Active(); l++ {
+						valsV[l] = -1
 						idxV[l] = int32(jbase + l)
 					}
-					if inMask != 0 {
-						w.Charge(rng.DeviceLCGCharge + 2*chargeMulAdd + chargeBitTabu + chargeIndex)
-					}
+					w.Charge(rng.DeviceLCGCharge + 2*chargeMulAdd + chargeBitTabu + chargeIndex)
 					w.StShF32Masked(vals, w.Base(), outMask, valsV[:])
 					w.StShF32I32Row(vals, valsV[:], inMask, idxs, idxV[:], outMask, w.Base())
 					w.StShI32Masked(idxs, w.Base(), inMask, idxV[:])
 				})
 				b.Sync()
-				// Shared-memory max-reduction for the tile winner.
-				b.ReduceArgMaxShared(vals, idxs, threads, chargeCompare)
+				// Shared-memory max-reduction for the tile winner. The
+				// out-lanes past the last city all hold -1, so only the
+				// tile's in-lanes are candidates.
+				b.ReduceArgMaxShared(vals, idxs, threads, min(threads, n-tile*threads), chargeCompare)
 				b.RunWarps(func(w *cuda.Warp) {
 					if w.ID() != 0 {
 						return

@@ -156,7 +156,7 @@ func (e *Engine) LocalSearchKernel() (*StageResult, error) {
 
 			// Phase 2: argmax reduction over the per-thread bests.
 			if e.Vector {
-				b.ReduceArgMaxShared(gains, moves, threads, chargeCompare)
+				b.ReduceArgMaxShared(gains, moves, threads, threads, chargeCompare)
 			} else {
 				for s := threads / 2; s > 0; s /= 2 {
 					s := s

@@ -85,6 +85,12 @@ type Block struct {
 	// touched so reset invalidates only those instead of re-allocating.
 	texCaches map[bufferID]*texTags
 	texUsed   []*texTags
+	// texLast is the latest texCache lookup, so a kernel fetching one
+	// texture over and over skips the map. reset and putBlock clear it:
+	// the first lookup of every block goes through the map, which marks
+	// the cache in use and checks its geometry against the device.
+	texLastID bufferID
+	texLast   *texTags
 
 	// stats is the owning worker's cross-block atomic histogram; every
 	// atomic op notes its address here directly (see statTable.note). Set
@@ -132,6 +138,7 @@ func putBlock(b *Block) {
 	b.dev.noteStreamHighWater(b.maxStream)
 	b.cfg = nil
 	b.stats = nil // worker-scoped; never outlives the launch
+	b.texLast = nil
 	if len(b.texCaches) > 16 {
 		// One launch binding many textures should not pin tag arrays for
 		// every buffer id it ever saw.
@@ -192,6 +199,7 @@ func (b *Block) reset(linear int) {
 		tc.inUse = false
 	}
 	b.texUsed = b.texUsed[:0]
+	b.texLast = nil
 }
 
 // noteAtomic records one atomic operation on the packed address key in the
@@ -204,6 +212,9 @@ func (b *Block) noteAtomic(key uint64) {
 // resizing it if the pooled block last ran on a device with a different
 // cache geometry.
 func (b *Block) texCache(id bufferID) *texTags {
+	if b.texLast != nil && b.texLastID == id {
+		return b.texLast
+	}
 	tc := b.texCaches[id]
 	if tc == nil || len(tc.tags) != texLines(b.dev) {
 		tc = newTexTags(b.dev)
@@ -213,6 +224,7 @@ func (b *Block) texCache(id bufferID) *texTags {
 		tc.inUse = true
 		b.texUsed = append(b.texUsed, tc)
 	}
+	b.texLastID, b.texLast = id, tc
 	return tc
 }
 
@@ -267,9 +279,12 @@ func (b *Block) SharedUsed() int { return b.sharedUsed }
 // it meters the barrier cost.
 func (b *Block) Sync() {
 	b.meter.Barriers++
-	// A barrier costs roughly one instruction per warp plus pipeline drain.
-	b.meter.ComputeIssues += float64(b.warps) * 2
+	b.meter.ComputeIssues += b.syncIssues()
 }
+
+// syncIssues is the issue cost of one barrier: roughly one instruction per
+// warp plus pipeline drain.
+func (b *Block) syncIssues() float64 { return float64(b.warps) * 2 }
 
 // Failf aborts the launch with a formatted error: the kernel-side analogue
 // of asserting and trapping. The launch's Launch call returns the error

@@ -53,6 +53,38 @@ func treeRows(n int) [][]float32 {
 	return rows
 }
 
+// paddedRows returns the treeRows as they are (live n), then, for every
+// live length below n that the tree tests sweep, each of them with
+// vals[live:n) overwritten by one fill value, and each row's live length.
+// The fills are -1 (the construction kernel's padding lanes), +0 and -0
+// (against the signed zeros in the live prefix of rows 4 and 7) and 0.5
+// (equal to every live value of row 3); rows 5 and 7 keep NaNs and +Inf
+// in the live prefix.
+func paddedRows(n int) ([][]float32, []int) {
+	base := treeRows(n)
+	rows := append([][]float32(nil), base...)
+	lives := make([]int, len(base))
+	for i := range lives {
+		lives[i] = n
+	}
+	for _, live := range []int{0, 1, 16, 31, 32, 33, 44, 100} {
+		if live >= n {
+			continue
+		}
+		for _, fill := range []float32{-1, 0, float32(math.Copysign(0, -1)), 0.5} {
+			for _, r := range base {
+				row := append([]float32(nil), r...)
+				for i := live; i < n; i++ {
+					row[i] = fill
+				}
+				rows = append(rows, row)
+				lives = append(lives, live)
+			}
+		}
+	}
+	return rows, lives
+}
+
 // treeKernel runs one tree variant per block over row LinearIdx() and
 // copies the shared arrays out (unmetered) when the tree is done.
 func treeKernel(rows [][]float32, n int, outV [][]float32, outI [][]int32,
@@ -120,15 +152,17 @@ func treeShapes(dev *cuda.Device) [][2]int {
 	return shapes
 }
 
-// assertTreesEqual runs the fused tree and its references on every shape,
-// device and block schedule and asserts == meters and identical words.
-func assertTreesEqual(t *testing.T, fused func(n int) func(*cuda.Block, []float32, []int32),
+// assertTreesEqual runs the fused tree and its references over the rows
+// of each tree size, on every shape, device and block schedule, and
+// asserts == meters and identical words.
+func assertTreesEqual(t *testing.T, rowsOf func(n int) [][]float32,
+	fused func(n int) func(*cuda.Block, []float32, []int32),
 	refs map[string]func(n int) func(*cuda.Block, []float32, []int32)) {
 	t.Helper()
 	for _, newDev := range []func() *cuda.Device{cuda.TeslaC1060, cuda.TeslaM2050} {
 		for _, shape := range treeShapes(newDev()) {
 			n, threads := shape[0], shape[1]
-			rows := treeRows(n)
+			rows := rowsOf(n)
 			for _, serial := range []bool{true, false} {
 				dev := newDev()
 				name := fmt.Sprintf("%s/n=%d/threads=%d/serial=%v", dev.Name, n, threads, serial)
@@ -154,12 +188,15 @@ func assertTreesEqual(t *testing.T, fused func(n int) func(*cuda.Block, []float3
 
 // TestReduceArgMaxSharedMatchesPerLevelLoops pins the fused argmax tree
 // against the per-level RunWarps loop it replaces and against the scalar
-// Run loop, the reference both stand for.
+// Run loop, the reference both stand for. The fused tree is told each
+// row's live length; the references always run the whole tree, so a
+// padded suffix must leave the same words and meters as a computed one.
 func TestReduceArgMaxSharedMatchesPerLevelLoops(t *testing.T) {
 	const charge = 1
 	fused := func(n int) func(*cuda.Block, []float32, []int32) {
+		_, lives := paddedRows(n)
 		return func(b *cuda.Block, vals []float32, idxs []int32) {
-			b.ReduceArgMaxShared(vals, idxs, n, charge)
+			b.ReduceArgMaxShared(vals, idxs, n, lives[b.LinearIdx()], charge)
 		}
 	}
 	warps := func(n int) func(*cuda.Block, []float32, []int32) {
@@ -208,7 +245,11 @@ func TestReduceArgMaxSharedMatchesPerLevelLoops(t *testing.T) {
 			}
 		}
 	}
-	assertTreesEqual(t, fused, map[string]func(int) func(*cuda.Block, []float32, []int32){
+	rows := func(n int) [][]float32 {
+		r, _ := paddedRows(n)
+		return r
+	}
+	assertTreesEqual(t, rows, fused, map[string]func(int) func(*cuda.Block, []float32, []int32){
 		"RunWarps": warps, "Run": scalar,
 	})
 }
@@ -257,7 +298,7 @@ func TestReduceSumSharedMatchesPerLevelLoops(t *testing.T) {
 			}
 		}
 	}
-	assertTreesEqual(t, fused, map[string]func(int) func(*cuda.Block, []float32, []int32){
+	assertTreesEqual(t, treeRows, fused, map[string]func(int) func(*cuda.Block, []float32, []int32){
 		"RunWarps": warps, "Run": scalar,
 	})
 }
@@ -416,6 +457,17 @@ var maskedOps = []maskedOp{
 				t.StShI32(e.sI, base+l, e.srcI[l])
 			}
 		}},
+	// The padding-lane fill: a constant value, then consecutive indices.
+	{"StShF32I32Fill", 37,
+		func(w *cuda.Warp, e *maskedEnv, k, base int, mask uint32) {
+			w.StShF32I32Fill(e.sF, -1, e.sI, int32(base+3), base, mask)
+		},
+		func(t *cuda.Thread, e *maskedEnv, k, base int, mask uint32) {
+			if l := t.Lane(); inMask(mask, l) {
+				t.StShF32(e.sF, base+l, -1)
+				t.StShI32(e.sI, base+l, int32(base+3+l))
+			}
+		}},
 }
 
 // testMasks are every prefix mask of 1..32 lanes, then masks the
@@ -494,18 +546,27 @@ func TestMaskedOpsMatchScalar(t *testing.T) {
 var raceEnabled bool
 
 // TestPhasesDoNotAllocate guards the per-block phase handles: a kernel that
-// runs 1000 RunWarps and 1000 Run phases per block must allocate no more
-// per launch than the same kernel with 10 of each.
+// runs 1000 RunWarps and 1000 Run phases per block, each RunWarps phase a
+// padding-lane fill and each followed by an argmax tree over a ragged
+// tail, must allocate no more per launch than the same kernel with 10 of
+// each.
 func TestPhasesDoNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under -race sync.Pool drops pooled blocks at random, so allocations per launch vary")
 	}
+	const threads, live = 64, 24
 	dev := cuda.TeslaM2050()
-	cfg := cuda.LaunchConfig{Grid: cuda.D1(2), Block: cuda.D1(64), SerialBlocks: true}
+	cfg := cuda.LaunchConfig{Grid: cuda.D1(2), Block: cuda.D1(threads), SharedBytes: 8 * threads, SerialBlocks: true}
 	allocs := func(phases int) float64 {
 		k := func(b *cuda.Block) {
+			vals := b.SharedF32(threads)
+			idxs := b.SharedI32(threads)
 			for i := 0; i < phases; i++ {
-				b.RunWarps(func(w *cuda.Warp) { w.Charge(1) })
+				b.RunWarps(func(w *cuda.Warp) {
+					w.Charge(1)
+					w.StShF32I32Fill(vals, -1, idxs, int32(w.Base()), w.Base(), w.Mask()&^w.MaskTo(live-w.Base()))
+				})
+				b.ReduceArgMaxShared(vals, idxs, threads, live, 1)
 				b.Run(func(th *cuda.Thread) { th.Charge(1) })
 			}
 		}

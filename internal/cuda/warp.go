@@ -112,6 +112,15 @@ func (b *Block) RunWarps(f func(w *Warp)) {
 // ties, NaNs and -0 against +0 keep the lower slot, as the strict compare
 // does on the device.
 //
+// live is the length of the prefix that holds real candidates: the caller
+// guarantees that vals[live:n) all hold one non-NaN value (padding lanes
+// past the last city, for example), and passes n when there is no such
+// suffix. A lane whose two operands both lie in that suffix compares equal
+// values, so it can never take the strict > and its slot keeps the fill.
+// The tree therefore computes only the lanes below min(live, s) at each
+// level, after which the live prefix is min(live, s). The meters do not
+// depend on live: padding lanes still issue and meter their loads.
+//
 // It is the fused form of the per-level vector loop
 //
 //	for s := n / 2; s > 0; s /= 2 {
@@ -135,42 +144,63 @@ func (b *Block) RunWarps(f func(w *Warp)) {
 // warp's lane ops and the barrier; per warp with lanes below s two shared
 // loads and charge, plus three shared ops if any of its lanes improved.
 // Only the warps below s are visited; the others meter nothing but lanes.
-func (b *Block) ReduceArgMaxShared(vals []float32, idxs []int32, n int, charge float64) {
+func (b *Block) ReduceArgMaxShared(vals []float32, idxs []int32, n, live int, charge float64) {
 	ws := b.dev.WarpSize
+	// The counters the tree touches live in locals for the whole tree and
+	// are written back once: the same additions in the same order as
+	// metering each warp and Sync in place, so the sums are bit-identical.
 	m := b.meter
+	phases, issues, instr, ops := m.RunPhases, m.ComputeIssues, m.SharedInstr, m.SharedOps
+	lanes, barriers := m.LaneOps, m.Barriers
 	for s := n / 2; s > 0; s /= 2 {
-		m.RunPhases++
+		phases++
 		hi := min(s, b.threads)
+		act := min(live, hi) // lanes below act may improve; the rest cannot
 		for base := 0; base < hi; base += ws {
 			end := min(base+ws, hi)
-			lo, up := vals[base:end], vals[base+s:end+s]
-			li, ui := idxs[base:end], idxs[base+s:end+s]
-			improved := 0
-			for i, a := range lo {
-				// Branch-free select: on random tile values the compare
-				// goes either way about half the time.
-				c := up[i]
-				var imp uint32
-				if c > a {
-					imp = 1
-				}
-				sel := -imp
-				ab := math.Float32bits(a)
-				lo[i] = math.Float32frombits(ab ^ (ab^math.Float32bits(c))&sel)
-				li[i] ^= (li[i] ^ ui[i]) & int32(sel)
-				improved += int(imp)
+			instr += 2
+			ops += 2 * int64(end-base)
+			issues += charge
+			if base >= act {
+				continue
 			}
-			m.SharedInstr += 2
-			m.SharedOps += 2 * int64(end-base)
-			m.ComputeIssues += charge
+			cend := min(end, act)
+			improved := argmaxLanes(vals[base:cend], vals[base+s:cend+s], idxs[base:cend], idxs[base+s:cend+s])
 			if improved > 0 {
-				m.SharedInstr += 3
-				m.SharedOps += 3 * int64(improved)
+				instr += 3
+				ops += 3 * int64(improved)
 			}
 		}
-		m.LaneOps += int64(b.threads)
-		b.Sync()
+		lanes += int64(b.threads)
+		barriers++
+		issues += b.syncIssues()
+		live = min(live, s)
 	}
+	m.RunPhases, m.ComputeIssues, m.SharedInstr, m.SharedOps = phases, issues, instr, ops
+	m.LaneOps, m.Barriers = lanes, barriers
+}
+
+// argmaxLanes is one warp's compare-and-select of an argmax tree level:
+// each lane i takes (up[i], ui[i]) when up[i] > lo[i]. It returns the
+// number of lanes that took it.
+func argmaxLanes(lo, up []float32, li, ui []int32) int {
+	up, li, ui = up[:len(lo)], li[:len(lo)], ui[:len(lo)]
+	improved := 0
+	for i, a := range lo {
+		// Branch-free select: on random tile values the compare goes
+		// either way about half the time.
+		c := up[i]
+		var imp uint32
+		if c > a {
+			imp = 1
+		}
+		sel := -imp
+		ab := math.Float32bits(a)
+		lo[i] = math.Float32frombits(ab ^ (ab^math.Float32bits(c))&sel)
+		li[i] ^= (li[i] ^ ui[i]) & int32(sel)
+		improved += int(imp)
+	}
+	return improved
 }
 
 // ReduceSumShared is the sum twin of ReduceArgMaxShared: at each level every
@@ -349,16 +379,9 @@ func storeLanes[T float32 | int32](s []T, base int, mask uint32, src []T) {
 
 // --- global memory: rows ----------------------------------------------------
 
-// LdF32Row loads buf[base+l] into dst[l] for every live lane l: one global
-// load instruction, transactions counted in closed form. Models each lane
-// executing t.LdF32(buf, base+t.Lane()).
-func (w *Warp) LdF32Row(buf *F32, base int, dst []float32) {
-	b := w.b
-	b.meterGlobalLoad(rowTx(base, w.active, 4, b.segBytes()), w.active)
-	copy(dst[:w.active], buf.data[base:base+w.active])
-}
-
-// LdF32Masked is LdF32Row restricted to the lanes in mask.
+// LdF32Masked loads buf[base+l] into dst[l] for the lanes in mask: one
+// global load instruction, transactions counted in closed form. Models each
+// lane executing t.LdF32(buf, base+t.Lane()).
 func (w *Warp) LdF32Masked(buf *F32, base int, mask uint32, dst []float32) {
 	if mask == 0 {
 		return
@@ -368,14 +391,7 @@ func (w *Warp) LdF32Masked(buf *F32, base int, mask uint32, dst []float32) {
 	loadLanes(dst, buf.data, base, mask)
 }
 
-// StF32Row stores src[l] to buf[base+l] for every live lane.
-func (w *Warp) StF32Row(buf *F32, base int, src []float32) {
-	b := w.b
-	b.meterGlobalStore(rowTx(base, w.active, 4, b.segBytes()), w.active)
-	copy(buf.data[base:base+w.active], src[:w.active])
-}
-
-// StF32Masked is StF32Row restricted to the lanes in mask.
+// StF32Masked stores src[l] to buf[base+l] for the lanes in mask.
 func (w *Warp) StF32Masked(buf *F32, base int, mask uint32, src []float32) {
 	if mask == 0 {
 		return
@@ -402,14 +418,7 @@ func (w *Warp) LdI32Masked(buf *I32, base int, mask uint32, dst []int32) {
 	loadLanes(dst, buf.data, base, mask)
 }
 
-// StI32Row stores src[l] to buf[base+l] for every live lane.
-func (w *Warp) StI32Row(buf *I32, base int, src []int32) {
-	b := w.b
-	b.meterGlobalStore(rowTx(base, w.active, 4, b.segBytes()), w.active)
-	copy(buf.data[base:base+w.active], src[:w.active])
-}
-
-// StI32Masked is StI32Row restricted to the lanes in mask.
+// StI32Masked stores src[l] to buf[base+l] for the lanes in mask.
 func (w *Warp) StI32Masked(buf *I32, base int, mask uint32, src []int32) {
 	if mask == 0 {
 		return
@@ -420,20 +429,6 @@ func (w *Warp) StI32Masked(buf *I32, base int, mask uint32, src []int32) {
 }
 
 // --- global memory: strides, broadcasts, gathers ----------------------------
-
-// LdF32Strided loads buf[base+l*stride] into dst[l] for the lanes in mask:
-// the uncoalesced column access of the paper's version (3) pheromone kernel.
-func (w *Warp) LdF32Strided(buf *F32, base, stride int, mask uint32, dst []float32) {
-	if mask == 0 {
-		return
-	}
-	b := w.b
-	b.meterGlobalLoad(stridedTx(base, stride, mask, 4, b.segBytes()), bits.OnesCount32(mask))
-	for mk := mask; mk != 0; mk &= mk - 1 {
-		l := bits.TrailingZeros32(mk)
-		dst[l] = buf.data[base+l*stride]
-	}
-}
 
 // LdI32Strided loads buf[base+l*stride] into dst[l] for the lanes in mask.
 func (w *Warp) LdI32Strided(buf *I32, base, stride int, mask uint32, dst []int32) {
@@ -448,14 +443,8 @@ func (w *Warp) LdI32Strided(buf *I32, base, stride int, mask uint32, dst []int32
 	}
 }
 
-// LdF32Bcast models every live lane loading the same element: one
-// instruction, one transaction (a single segment), Active per-lane ops.
-func (w *Warp) LdF32Bcast(buf *F32, idx int) float32 {
-	w.b.meterGlobalLoad(1, w.active)
-	return buf.data[idx]
-}
-
-// LdF32BcastMasked is LdF32Bcast restricted to the lanes in mask. With
+// LdF32BcastMasked models the lanes in mask loading the same element: one
+// instruction, one transaction (a single segment), one op per lane. With
 // mask 0 it issues nothing and returns 0.
 func (w *Warp) LdF32BcastMasked(buf *F32, idx int, mask uint32) float32 {
 	if mask == 0 {
@@ -465,13 +454,7 @@ func (w *Warp) LdF32BcastMasked(buf *F32, idx int, mask uint32) float32 {
 	return buf.data[idx]
 }
 
-// LdI32Bcast models every live lane loading the same element.
-func (w *Warp) LdI32Bcast(buf *I32, idx int) int32 {
-	w.b.meterGlobalLoad(1, w.active)
-	return buf.data[idx]
-}
-
-// LdI32BcastMasked is LdI32Bcast restricted to the lanes in mask.
+// LdI32BcastMasked models the lanes in mask loading the same element.
 func (w *Warp) LdI32BcastMasked(buf *I32, idx int, mask uint32) int32 {
 	if mask == 0 {
 		return 0
@@ -538,28 +521,6 @@ func (w *Warp) StI32Scatter(buf *I32, idxs []int32, mask uint32, src []int32) {
 
 // --- atomics ----------------------------------------------------------------
 
-// AtomicAddF32Row adds src[l] to buf[base+l] for every live lane: the
-// conflict-free contiguous case (distinct addresses, zero serialisation).
-// Atomics are read-modify-write transactions, so the segment count charges
-// both load and store transactions, as the scalar retirement does.
-func (w *Warp) AtomicAddF32Row(buf *F32, base int, src []float32) {
-	b := w.b
-	m := b.meter
-	m.AtomicInstr++
-	m.AtomicOps += int64(w.active)
-	tx := rowTx(base, w.active, 4, b.segBytes())
-	m.GlobalLoadTx += int64(tx)
-	m.GlobalStoreTx += int64(tx)
-	for l := 0; l < w.active; l++ {
-		i := base + l
-		mu := buf.lock.of(i)
-		mu.Lock()
-		buf.data[i] += src[l]
-		mu.Unlock()
-		b.noteAtomic(atomicKey(buf.id, i))
-	}
-}
-
 // AtomicAddF32Scatter adds vals[l] to buf[idxs[l]] for the lanes in mask:
 // the scatter pheromone deposit. Conflicting lanes (same index) serialise —
 // the extra is ops minus distinct addresses, matching atomicConflicts — and
@@ -596,18 +557,13 @@ func (w *Warp) AtomicAddF32Scatter(buf *F32, idxs []int32, mask uint32, vals []f
 
 // --- texture ----------------------------------------------------------------
 
-// TexF32Row fetches tex[base+l] into dst[l] for every live lane through the
-// per-block texture tag cache.
-func (w *Warp) TexF32Row(tex *Texture, base int, dst []float32) {
-	w.TexF32Masked(tex, base, w.mask, dst)
-}
-
-// TexF32Masked is TexF32Row restricted to the lanes in mask. Distinct lines
-// probe the tag cache in ascending lane order, exactly the scalar
-// retirement's probe sequence, so hits and misses are identical. A
-// contiguous run of lanes touches every line between its first and last
-// lane's (a line holds at least one float), so it probes that line range
-// in ascending order without a per-lane pass.
+// TexF32Masked fetches tex[base+l] into dst[l] for the lanes in mask
+// through the per-block texture tag cache. Distinct lines probe the tag
+// cache in ascending lane order, exactly the scalar retirement's probe
+// sequence, so hits and misses are identical. A contiguous run of lanes
+// touches every line between its first and last lane's (a line holds at
+// least one float), so it probes that line range in ascending order
+// without a per-lane pass.
 func (w *Warp) TexF32Masked(tex *Texture, base int, mask uint32, dst []float32) {
 	if mask == 0 {
 		return
@@ -619,18 +575,11 @@ func (w *Warp) TexF32Masked(tex *Texture, base int, mask uint32, dst []float32) 
 	lineBytes := int64(b.dev.TextureLineBytes)
 	if lo, hi, ok := laneRun(mask); ok {
 		copy(dst[lo:hi], tex.buf.data[base+lo:base+hi])
-		missed := false
-		last := int64(base+hi-1) * 4 / lineBytes
-		for line := int64(base+lo) * 4 / lineBytes; line <= last; line++ {
-			if tc.probe(line) {
-				m.TexHits++
-			} else {
-				m.TexMisses++
-				missed = true
-			}
-		}
+		hits, misses := tc.probeRun(int64(base+lo)*4/lineBytes, int64(base+hi-1)*4/lineBytes)
+		m.TexHits += hits
+		m.TexMisses += misses
 		m.TexFetches += int64(hi - lo)
-		if missed {
+		if misses > 0 {
 			m.TexMissInstr++
 		}
 		return
@@ -669,13 +618,7 @@ func (w *Warp) TexF32Masked(tex *Texture, base int, mask uint32, dst []float32) 
 // indices touch each bank at most once, so none of these ops can bank
 // conflict; they mirror the scalar bankConflictDegree <= 1 outcome exactly.
 
-// LdShF32Row loads s[base+l] into dst[l] for every live lane.
-func (w *Warp) LdShF32Row(s []float32, base int, dst []float32) {
-	w.b.meterShared(w.active)
-	copy(dst[:w.active], s[base:base+w.active])
-}
-
-// LdShF32Masked is LdShF32Row restricted to the lanes in mask.
+// LdShF32Masked loads s[base+l] into dst[l] for the lanes in mask.
 func (w *Warp) LdShF32Masked(s []float32, base int, mask uint32, dst []float32) {
 	if mask == 0 {
 		return
@@ -684,13 +627,7 @@ func (w *Warp) LdShF32Masked(s []float32, base int, mask uint32, dst []float32) 
 	loadLanes(dst, s, base, mask)
 }
 
-// StShF32Row stores src[l] to s[base+l] for every live lane.
-func (w *Warp) StShF32Row(s []float32, base int, src []float32) {
-	w.b.meterShared(w.active)
-	copy(s[base:base+w.active], src[:w.active])
-}
-
-// StShF32Masked is StShF32Row restricted to the lanes in mask.
+// StShF32Masked stores src[l] to s[base+l] for the lanes in mask.
 func (w *Warp) StShF32Masked(s []float32, base int, mask uint32, src []float32) {
 	if mask == 0 {
 		return
@@ -699,13 +636,7 @@ func (w *Warp) StShF32Masked(s []float32, base int, mask uint32, src []float32) 
 	storeLanes(s, base, mask, src)
 }
 
-// LdShI32Row loads s[base+l] into dst[l] for every live lane.
-func (w *Warp) LdShI32Row(s []int32, base int, dst []int32) {
-	w.b.meterShared(w.active)
-	copy(dst[:w.active], s[base:base+w.active])
-}
-
-// LdShI32Masked is LdShI32Row restricted to the lanes in mask.
+// LdShI32Masked loads s[base+l] into dst[l] for the lanes in mask.
 func (w *Warp) LdShI32Masked(s []int32, base int, mask uint32, dst []int32) {
 	if mask == 0 {
 		return
@@ -729,15 +660,9 @@ func (w *Warp) StShI32Masked(s []int32, base int, mask uint32, src []int32) {
 	storeLanes(s, base, mask, src)
 }
 
-// LdShF32Bcast models every live lane reading the same shared element: a
-// hardware broadcast, one instruction, no conflicts.
-func (w *Warp) LdShF32Bcast(s []float32, idx int) float32 {
-	w.b.meterShared(w.active)
-	return s[idx]
-}
-
-// LdShF32BcastMasked is LdShF32Bcast restricted to the lanes in mask. With
-// mask 0 it issues nothing and returns 0.
+// LdShF32BcastMasked models the lanes in mask reading the same shared
+// element: a hardware broadcast, one instruction, no conflicts. With mask 0
+// it issues nothing and returns 0.
 func (w *Warp) LdShF32BcastMasked(s []float32, idx int, mask uint32) float32 {
 	if mask == 0 {
 		return 0
@@ -782,4 +707,35 @@ func (w *Warp) StShF32I32Row(sf []float32, vf []float32, maskF uint32, si []int3
 	w.b.meterShared(bits.OnesCount32(both))
 	storeLanes(sf, base, maskF, vf)
 	storeLanes(si, base, maskI, vi)
+}
+
+// StShF32I32Fill issues the two shared stores of lanes that carry a
+// constant rather than a computed value, such as the padding lanes past
+// the last city of a tile: lanes in mask store v to sf[base+l], then
+// first+l to si[base+l]. It meters exactly what StShF32Masked followed by
+// StShI32Masked over mask meter, two shared instructions of one op per
+// lane, and writes the words directly instead of staging them in lane
+// registers.
+func (w *Warp) StShF32I32Fill(sf []float32, v float32, si []int32, first int32, base int, mask uint32) {
+	if mask == 0 {
+		return
+	}
+	ops := bits.OnesCount32(mask)
+	w.b.meterShared(ops)
+	w.b.meterShared(ops)
+	if lo, hi, ok := laneRun(mask); ok {
+		fs, is := sf[base+lo:base+hi], si[base+lo:base+hi]
+		is = is[:len(fs)]
+		x := first + int32(lo)
+		for i := range fs {
+			fs[i], is[i] = v, x
+			x++
+		}
+		return
+	}
+	for mk := mask; mk != 0; mk &= mk - 1 {
+		l := bits.TrailingZeros32(mk)
+		sf[base+l] = v
+		si[base+l] = first + int32(l)
+	}
 }

@@ -10,7 +10,8 @@ import (
 // Host-performance benchmarks for the simulator itself: ns of wall-clock
 // per simulated lane operation and allocations per launch, comparing the
 // per-thread scalar path against the warp-vector fast path on the same
-// access patterns (rows, atomics, and shared-memory argmax trees). Run with:
+// access patterns (rows, atomics, and shared-memory argmax trees over full
+// and ragged-tail tiles). Run with:
 //
 //	go test -bench=Launch -benchmem ./internal/cuda/
 const (
@@ -51,12 +52,12 @@ func rowKernels() (scalar, vector cuda.Kernel, cfg cuda.LaunchConfig, src, dst *
 		b.RunWarps(func(w *cuda.Warp) {
 			gbase := b.LinearIdx()*b.Threads() + w.Base()
 			var v [32]float32
-			w.LdF32Row(src, gbase, v[:])
+			w.LdF32Masked(src, gbase, w.Mask(), v[:])
 			w.Charge(1)
 			for l := 0; l < 32; l++ {
 				v[l] *= 2
 			}
-			w.StF32Row(dst, gbase, v[:])
+			w.StF32Masked(dst, gbase, w.Mask(), v[:])
 		})
 	}
 	return
@@ -111,7 +112,10 @@ func BenchmarkLaunchVectorAtomics(b *testing.B) {
 // data-parallel construction's per-tile selection.
 const reduceTrees = 8
 
-func reduceKernels() (scalar, vector cuda.Kernel, cfg cuda.LaunchConfig, laneOps int) {
+// reduceKernels builds the scalar and vector reduce benchmarks over rows
+// whose first live slots hold candidates and whose rest hold the -1
+// padding of a tail tile (live = benchBlock: a full tile).
+func reduceKernels(live int) (scalar, vector cuda.Kernel, cfg cuda.LaunchConfig, laneOps int) {
 	cfg = cuda.LaunchConfig{
 		Grid:        cuda.D1(benchElems / benchBlock),
 		Block:       cuda.D1(benchBlock),
@@ -119,7 +123,12 @@ func reduceKernels() (scalar, vector cuda.Kernel, cfg cuda.LaunchConfig, laneOps
 	}
 	levels := bits.Len(uint(benchBlock)) - 1
 	laneOps = benchElems * reduceTrees * (1 + levels)
-	value := func(tree, tid int) float32 { return float32((tid*(2*tree+7) + tree) % 251) }
+	value := func(tree, tid int) float32 {
+		if tid >= live {
+			return -1
+		}
+		return float32((tid*(2*tree+7) + tree) % 251)
+	}
 	scalar = func(b *cuda.Block) {
 		vals := b.SharedF32(benchBlock)
 		idxs := b.SharedI32(benchBlock)
@@ -150,28 +159,46 @@ func reduceKernels() (scalar, vector cuda.Kernel, cfg cuda.LaunchConfig, laneOps
 		idxs := b.SharedI32(benchBlock)
 		for tree := 0; tree < reduceTrees; tree++ {
 			b.RunWarps(func(w *cuda.Warp) {
+				if w.Base() >= live {
+					w.StShF32I32Fill(vals, -1, idxs, int32(w.Base()), w.Base(), w.Mask())
+					return
+				}
 				var v [32]float32
 				var ix [32]int32
 				for l := 0; l < w.Active(); l++ {
 					v[l] = value(tree, w.Base()+l)
 					ix[l] = int32(w.Base() + l)
 				}
-				w.StShF32Row(vals, w.Base(), v[:])
-				w.StShI32Row(idxs, w.Base(), ix[:])
+				w.StShF32Masked(vals, w.Base(), w.Mask(), v[:])
+				w.StShI32Masked(idxs, w.Base(), w.Mask(), ix[:])
 			})
 			b.Sync()
-			b.ReduceArgMaxShared(vals, idxs, benchBlock, 1)
+			b.ReduceArgMaxShared(vals, idxs, benchBlock, live, 1)
 		}
 	}
 	return
 }
 
 func BenchmarkLaunchScalarReduce(b *testing.B) {
-	scalar, _, cfg, laneOps := reduceKernels()
+	scalar, _, cfg, laneOps := reduceKernels(benchBlock)
 	benchLoop(b, cfg, laneOps, scalar)
 }
 
 func BenchmarkLaunchVectorReduce(b *testing.B) {
-	_, vector, cfg, laneOps := reduceKernels()
+	_, vector, cfg, laneOps := reduceKernels(benchBlock)
+	benchLoop(b, cfg, laneOps, vector)
+}
+
+// reduceTailLive is the live length of the ragged-tail reduce rows: the
+// 24-city tail tile of a 280-city instance on 256-thread blocks.
+const reduceTailLive = 24
+
+func BenchmarkLaunchScalarReduceTail(b *testing.B) {
+	scalar, _, cfg, laneOps := reduceKernels(reduceTailLive)
+	benchLoop(b, cfg, laneOps, scalar)
+}
+
+func BenchmarkLaunchVectorReduceTail(b *testing.B) {
+	_, vector, cfg, laneOps := reduceKernels(reduceTailLive)
 	benchLoop(b, cfg, laneOps, vector)
 }

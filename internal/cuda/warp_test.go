@@ -155,8 +155,8 @@ func TestVectorEquivPartialWarp(t *testing.T) {
 	})
 }
 
-// TestVectorEquivStridedGather covers the strided load (constant stride per
-// lane) and the duplicate-heavy gather, whose transaction count needs full
+// TestVectorEquivStridedGather covers a gather over a constant stride per
+// lane and the duplicate-heavy gather, whose transaction count needs full
 // address deduplication.
 func TestVectorEquivStridedGather(t *testing.T) {
 	const count, block, small = 512, 128, 13
@@ -174,11 +174,12 @@ func TestVectorEquivStridedGather(t *testing.T) {
 				b.RunWarps(func(w *cuda.Warp) {
 					gbase := b.LinearIdx()*b.Threads() + w.Base()
 					var a, g [32]float32
-					var idxs [32]int32
-					w.LdF32Strided(src, gbase*3, 3, w.Mask(), a[:])
+					var strided, idxs [32]int32
 					for l := 0; l < w.Active(); l++ {
+						strided[l] = int32((gbase + l) * 3)
 						idxs[l] = int32(((gbase + l) * 7) % small)
 					}
+					w.LdF32Gather(src, strided[:], w.Mask(), a[:])
 					w.LdF32Gather(src, idxs[:], w.Mask(), g[:])
 					w.Charge(2)
 					for l := 0; l < w.Active(); l++ {
@@ -215,12 +216,12 @@ func TestVectorEquivBroadcast(t *testing.T) {
 			k = func(b *cuda.Block) {
 				b.RunWarps(func(w *cuda.Warp) {
 					gbase := b.LinearIdx()*b.Threads() + w.Base()
-					v := w.LdF32Bcast(src, 5)
+					v := w.LdF32BcastMasked(src, 5, w.Mask())
 					var out [32]float32
 					for l := 0; l < w.Active(); l++ {
 						out[l] = v + float32(gbase+l)
 					}
-					w.StF32Row(dst, gbase, out[:])
+					w.StF32Masked(dst, gbase, w.Mask(), out[:])
 				})
 			}
 		} else {
@@ -235,8 +236,8 @@ func TestVectorEquivBroadcast(t *testing.T) {
 	})
 }
 
-// TestVectorEquivAtomics covers the conflict-free atomic row and the
-// conflicted atomic scatter, including the cross-block distinct-address
+// TestVectorEquivAtomics covers a conflict-free atomic scatter over a row
+// and a conflicted one, including the cross-block distinct-address
 // histogram that feeds AtomicDistinctAddr.
 func TestVectorEquivAtomics(t *testing.T) {
 	const count, block = 256, 64
@@ -250,13 +251,14 @@ func TestVectorEquivAtomics(t *testing.T) {
 				b.RunWarps(func(w *cuda.Warp) {
 					gbase := b.LinearIdx()*b.Threads() + w.Base()
 					var half, ones [32]float32
-					var idxs [32]int32
+					var row, idxs [32]int32
 					for l := 0; l < w.Active(); l++ {
 						half[l] = 0.5
 						ones[l] = 1
+						row[l] = int32(gbase + l)
 						idxs[l] = int32((gbase + l) % 7)
 					}
-					w.AtomicAddF32Row(rowDst, gbase, half[:])
+					w.AtomicAddF32Scatter(rowDst, row[:], w.Mask(), half[:])
 					w.AtomicAddF32Scatter(hist, idxs[:], w.Mask(), ones[:])
 				})
 			}
@@ -293,12 +295,12 @@ func TestVectorEquivTexture(t *testing.T) {
 				b.RunWarps(func(w *cuda.Warp) {
 					gbase := b.LinearIdx()*b.Threads() + w.Base()
 					var a, c [32]float32
-					w.TexF32Row(tex, gbase, a[:])
+					w.TexF32Masked(tex, gbase, w.Mask(), a[:])
 					w.TexF32Masked(tex, gbase, w.Mask(), c[:])
 					for l := 0; l < w.Active(); l++ {
 						a[l] += c[l]
 					}
-					w.StF32Row(dst, gbase, a[:])
+					w.StF32Masked(dst, gbase, w.Mask(), a[:])
 				})
 			}
 		} else {
@@ -348,14 +350,14 @@ func TestVectorEquivSharedMergedStore(t *testing.T) {
 					gbase := b.LinearIdx()*b.Threads() + w.Base()
 					var v [32]float32
 					var iv [32]int32
-					w.LdShF32Row(sf, w.Base(), v[:])
-					w.LdShI32Row(si, w.Base(), iv[:])
-					first := w.LdShF32Bcast(sf, 0)
+					w.LdShF32Masked(sf, w.Base(), w.Mask(), v[:])
+					w.LdShI32Masked(si, w.Base(), w.Mask(), iv[:])
+					first := w.LdShF32BcastMasked(sf, 0, w.Mask())
 					var out [32]float32
 					for l := 0; l < w.Active(); l++ {
 						out[l] = v[l] + float32(iv[l]) + first
 					}
-					w.StF32Row(dst, gbase, out[:])
+					w.StF32Masked(dst, gbase, w.Mask(), out[:])
 				})
 			}
 		} else {
