@@ -31,7 +31,9 @@ func (e *Engine) dataBlockThreads() int {
 // bit being its city's unvisited bit for this tile, and idxs[l] = jbase+l.
 // The + (bit−1) term sinks visited lanes to −1 so the max reduction can
 // never crown a tabu city when every unvisited value underflows to zero;
-// for bit = 1 it adds +0.0 and leaves the value bit-identical.
+// for bit = 1 it adds +0.0 and leaves the value bit-identical. tile is
+// below 32 (one tabu bit per tile); masking it spares the shift a range
+// check.
 func tileValues(vals []float32, idxs []int32, w []float32, states []uint64, tabu []int32, tile uint, jbase int32) {
 	idxs, w, states, tabu = idxs[:len(vals)], w[:len(vals)], states[:len(vals)], tabu[:len(vals)]
 	for l := range vals {
