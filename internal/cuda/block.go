@@ -279,12 +279,9 @@ func (b *Block) SharedUsed() int { return b.sharedUsed }
 // it meters the barrier cost.
 func (b *Block) Sync() {
 	b.meter.Barriers++
-	b.meter.ComputeIssues += b.syncIssues()
+	// A barrier costs roughly one instruction per warp plus pipeline drain.
+	b.meter.ComputeIssues += float64(b.warps) * 2
 }
-
-// syncIssues is the issue cost of one barrier: roughly one instruction per
-// warp plus pipeline drain.
-func (b *Block) syncIssues() float64 { return float64(b.warps) * 2 }
 
 // Failf aborts the launch with a formatted error: the kernel-side analogue
 // of asserting and trapping. The launch's Launch call returns the error

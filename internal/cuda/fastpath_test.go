@@ -362,6 +362,12 @@ type maskedOp struct {
 
 func inMask(mask uint32, l int) bool { return mask&(1<<uint(l)) != 0 }
 
+// isRun reports whether a non-zero mask is one contiguous run of lanes.
+func isRun(mask uint32) bool {
+	r := mask >> uint(bits.TrailingZeros32(mask))
+	return r&(r+1) == 0
+}
+
 var maskedOps = []maskedOp{
 	{"TexF32Masked", 5,
 		func(w *cuda.Warp, e *maskedEnv, k, base int, mask uint32) {
@@ -458,12 +464,16 @@ var maskedOps = []maskedOp{
 			}
 		}},
 	// The padding-lane fill: a constant value, then consecutive indices.
+	// It takes only contiguous masks, so masks with holes issue nothing on
+	// either side.
 	{"StShF32I32Fill", 37,
 		func(w *cuda.Warp, e *maskedEnv, k, base int, mask uint32) {
-			w.StShF32I32Fill(e.sF, -1, e.sI, int32(base+3), base, mask)
+			if isRun(mask) {
+				w.StShF32I32Fill(e.sF, -1, e.sI, int32(base+3), base, mask)
+			}
 		},
 		func(t *cuda.Thread, e *maskedEnv, k, base int, mask uint32) {
-			if l := t.Lane(); inMask(mask, l) {
+			if l := t.Lane(); isRun(mask) && inMask(mask, l) {
 				t.StShF32(e.sF, base+l, -1)
 				t.StShI32(e.sI, base+l, int32(base+3+l))
 			}

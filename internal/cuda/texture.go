@@ -59,23 +59,3 @@ func (t *texTags) probe(line int64) bool {
 	t.tags[slot] = line
 	return false
 }
-
-// probeRun probes lines first..last in ascending order, exactly as probe
-// would one line at a time, and returns the hits and misses. Consecutive
-// lines map to consecutive slots, so only the first slot takes a division.
-func (t *texTags) probeRun(first, last int64) (hits, misses int64) {
-	n := int64(len(t.tags))
-	slot := first % n
-	for line := first; line <= last; line++ {
-		if t.tags[slot] == line {
-			hits++
-		} else {
-			t.tags[slot] = line
-			misses++
-		}
-		if slot++; slot == n {
-			slot = 0
-		}
-	}
-	return hits, misses
-}

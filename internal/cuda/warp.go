@@ -146,38 +146,30 @@ func (b *Block) RunWarps(f func(w *Warp)) {
 // Only the warps below s are visited; the others meter nothing but lanes.
 func (b *Block) ReduceArgMaxShared(vals []float32, idxs []int32, n, live int, charge float64) {
 	ws := b.dev.WarpSize
-	// The counters the tree touches live in locals for the whole tree and
-	// are written back once: the same additions in the same order as
-	// metering each warp and Sync in place, so the sums are bit-identical.
 	m := b.meter
-	phases, issues, instr, ops := m.RunPhases, m.ComputeIssues, m.SharedInstr, m.SharedOps
-	lanes, barriers := m.LaneOps, m.Barriers
 	for s := n / 2; s > 0; s /= 2 {
-		phases++
+		m.RunPhases++
 		hi := min(s, b.threads)
 		act := min(live, hi) // lanes below act may improve; the rest cannot
 		for base := 0; base < hi; base += ws {
 			end := min(base+ws, hi)
-			instr += 2
-			ops += 2 * int64(end-base)
-			issues += charge
+			m.SharedInstr += 2
+			m.SharedOps += 2 * int64(end-base)
+			m.ComputeIssues += charge
 			if base >= act {
 				continue
 			}
 			cend := min(end, act)
 			improved := argmaxLanes(vals[base:cend], vals[base+s:cend+s], idxs[base:cend], idxs[base+s:cend+s])
 			if improved > 0 {
-				instr += 3
-				ops += 3 * int64(improved)
+				m.SharedInstr += 3
+				m.SharedOps += 3 * int64(improved)
 			}
 		}
-		lanes += int64(b.threads)
-		barriers++
-		issues += b.syncIssues()
+		m.LaneOps += int64(b.threads)
+		b.Sync()
 		live = min(live, s)
 	}
-	m.RunPhases, m.ComputeIssues, m.SharedInstr, m.SharedOps = phases, issues, instr, ops
-	m.LaneOps, m.Barriers = lanes, barriers
 }
 
 // argmaxLanes is one warp's compare-and-select of an argmax tree level:
@@ -575,11 +567,18 @@ func (w *Warp) TexF32Masked(tex *Texture, base int, mask uint32, dst []float32) 
 	lineBytes := int64(b.dev.TextureLineBytes)
 	if lo, hi, ok := laneRun(mask); ok {
 		copy(dst[lo:hi], tex.buf.data[base+lo:base+hi])
-		hits, misses := tc.probeRun(int64(base+lo)*4/lineBytes, int64(base+hi-1)*4/lineBytes)
-		m.TexHits += hits
-		m.TexMisses += misses
+		missed := false
+		last := int64(base+hi-1) * 4 / lineBytes
+		for line := int64(base+lo) * 4 / lineBytes; line <= last; line++ {
+			if tc.probe(line) {
+				m.TexHits++
+			} else {
+				m.TexMisses++
+				missed = true
+			}
+		}
 		m.TexFetches += int64(hi - lo)
-		if misses > 0 {
+		if missed {
 			m.TexMissInstr++
 		}
 		return
@@ -712,7 +711,8 @@ func (w *Warp) StShF32I32Row(sf []float32, vf []float32, maskF uint32, si []int3
 // StShF32I32Fill issues the two shared stores of lanes that carry a
 // constant rather than a computed value, such as the padding lanes past
 // the last city of a tile: lanes in mask store v to sf[base+l], then
-// first+l to si[base+l]. It meters exactly what StShF32Masked followed by
+// first+l to si[base+l]. mask must be one contiguous run of lanes, as a
+// warp's own w.Mask() is. It meters exactly what StShF32Masked followed by
 // StShI32Masked over mask meter, two shared instructions of one op per
 // lane, and writes the words directly instead of staging them in lane
 // registers.
@@ -720,22 +720,17 @@ func (w *Warp) StShF32I32Fill(sf []float32, v float32, si []int32, first int32, 
 	if mask == 0 {
 		return
 	}
-	ops := bits.OnesCount32(mask)
-	w.b.meterShared(ops)
-	w.b.meterShared(ops)
-	if lo, hi, ok := laneRun(mask); ok {
-		fs, is := sf[base+lo:base+hi], si[base+lo:base+hi]
-		is = is[:len(fs)]
-		x := first + int32(lo)
-		for i := range fs {
-			fs[i], is[i] = v, x
-			x++
-		}
-		return
+	lo, hi, ok := laneRun(mask)
+	if !ok {
+		panic("cuda: StShF32I32Fill needs a contiguous lane mask")
 	}
-	for mk := mask; mk != 0; mk &= mk - 1 {
-		l := bits.TrailingZeros32(mk)
-		sf[base+l] = v
-		si[base+l] = first + int32(l)
+	w.b.meterShared(hi - lo)
+	w.b.meterShared(hi - lo)
+	fs, is := sf[base+lo:base+hi], si[base+lo:base+hi]
+	is = is[:len(fs)]
+	x := first + int32(lo)
+	for i := range fs {
+		fs[i], is[i] = v, x
+		x++
 	}
 }

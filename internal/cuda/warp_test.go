@@ -155,17 +155,21 @@ func TestVectorEquivPartialWarp(t *testing.T) {
 	})
 }
 
-// TestVectorEquivStridedGather covers a gather over a constant stride per
-// lane and the duplicate-heavy gather, whose transaction count needs full
+// TestVectorEquivStridedGather covers the strided load (constant stride per
+// lane) and the duplicate-heavy gather, whose transaction count needs full
 // address deduplication.
 func TestVectorEquivStridedGather(t *testing.T) {
 	const count, block, small = 512, 128, 13
 	grid := count / block
 	assertEquiv(t, func(vector bool) equivRun {
-		src := cuda.MallocF32("src", 3*count)
+		src := cuda.MallocF32("src", count)
+		col := cuda.MallocI32("col", 3*count)
 		dst := cuda.MallocF32("dst", count)
 		for i := range src.Data() {
 			src.Data()[i] = float32(i % 97)
+		}
+		for i := range col.Data() {
+			col.Data()[i] = int32(i % 89)
 		}
 		cfg := cuda.LaunchConfig{Grid: cuda.D1(grid), Block: cuda.D1(block)}
 		var k cuda.Kernel
@@ -174,16 +178,15 @@ func TestVectorEquivStridedGather(t *testing.T) {
 				b.RunWarps(func(w *cuda.Warp) {
 					gbase := b.LinearIdx()*b.Threads() + w.Base()
 					var a, g [32]float32
-					var strided, idxs [32]int32
+					var c, idxs [32]int32
+					w.LdI32Strided(col, gbase*3, 3, w.Mask(), c[:])
 					for l := 0; l < w.Active(); l++ {
-						strided[l] = int32((gbase + l) * 3)
 						idxs[l] = int32(((gbase + l) * 7) % small)
 					}
-					w.LdF32Gather(src, strided[:], w.Mask(), a[:])
 					w.LdF32Gather(src, idxs[:], w.Mask(), g[:])
 					w.Charge(2)
 					for l := 0; l < w.Active(); l++ {
-						a[l] += g[l]
+						a[l] = float32(c[l]) + g[l]
 					}
 					w.StF32Masked(dst, gbase, w.Mask(), a[:])
 				})
@@ -192,7 +195,7 @@ func TestVectorEquivStridedGather(t *testing.T) {
 			k = func(b *cuda.Block) {
 				b.Run(func(th *cuda.Thread) {
 					gid := th.GlobalID()
-					a := th.LdF32(src, gid*3)
+					a := float32(th.LdI32(col, gid*3))
 					g := th.LdF32(src, (gid*7)%small)
 					th.Charge(2)
 					th.StF32(dst, gid, a+g)
